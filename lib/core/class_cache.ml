@@ -29,6 +29,15 @@ type stats = {
   mutable exceptions : int;
 }
 
+(** The result of a special store's Class Cache request. *)
+type access_result = {
+  mutable hit : bool;  (** false = the Class List in memory was walked *)
+  mutable exn_raised : bool;  (** misspeculation hardware exception *)
+  mutable functions_to_deopt : int list;
+      (** FunctionList of the broken slot (empty unless [exn_raised]) *)
+  mutable outcome : Class_list.update_outcome;
+}
+
 type t = {
   config : config;
   sets : way array array;  (** [sets.(set_index).(way)] *)
@@ -43,6 +52,9 @@ type t = {
   mutable fault : Tce_fault.Injector.t;
       (** fault injector for campaigns (installed by the engine;
           {!Tce_fault.Injector.null} = disarmed, zero-cost) *)
+  result : access_result;
+      (** the record {!access} fills and returns (one per cache, so a
+          request does not allocate its result) *)
 }
 
 let fresh_stats () =
@@ -70,9 +82,38 @@ let create ?(config = default_config) () =
     stats = fresh_stats ();
     trace = Tce_obs.Trace.null;
     fault = Tce_fault.Injector.null;
+    result =
+      {
+        hit = false;
+        exn_raised = false;
+        functions_to_deopt = [];
+        outcome = Class_list.Still_mono;
+      };
   }
 
 let nsets t = Array.length t.sets
+
+(* The way loops are top-level functions: [Array.iter] closures over
+   [ref]s would be allocated on every special store. *)
+
+(* Way holding [key], or -1. A key is filled only on a miss, so it lives in
+   at most one way. *)
+let rec find_way (set : way array) (key : int) (i : int) : int =
+  if i >= Array.length set then -1
+  else
+    let w = Array.unsafe_get set i in
+    if w.valid && w.tag = key then i else find_way set key (i + 1)
+
+(* Victim way: the last invalid way if any, else the first way with the
+   strictly smallest LRU stamp. *)
+let rec victim_way (set : way array) (i : int) (v : int) : int =
+  if i >= Array.length set then v
+  else
+    let w = Array.unsafe_get set i in
+    let vw = Array.unsafe_get set v in
+    if (not w.valid) || (vw.valid && w.lru < vw.lru) then
+      victim_way set (i + 1) i
+    else victim_way set (i + 1) v
 
 (** Cache lookup/fill for the entry [ClassID ‖ Line]. Returns [true] on hit.
     The set index mixes the ClassID into the low bits (indexing by the raw
@@ -84,33 +125,24 @@ let touch t ~classid ~line =
   let set = t.sets.(si) in
   t.clock <- t.clock + 1;
   t.stats.accesses <- t.stats.accesses + 1;
-  let hit = ref false in
-  Array.iter
-    (fun w ->
-      if w.valid && w.tag = key then begin
-        hit := true;
-        w.lru <- t.clock
-      end)
-    set;
-  if !hit then t.stats.hits <- t.stats.hits + 1
+  let hw = find_way set key 0 in
+  if hw >= 0 then begin
+    set.(hw).lru <- t.clock;
+    t.stats.hits <- t.stats.hits + 1;
+    true
+  end
   else begin
     t.stats.misses <- t.stats.misses + 1;
-    (* Choose the victim: an invalid way, else least recently used. *)
-    let victim = ref set.(0) in
-    Array.iter
-      (fun w ->
-        if not w.valid then victim := w
-        else if !victim.valid && w.lru < !victim.lru then victim := w)
-      set;
-    if !victim.valid then begin
+    let victim = set.(victim_way set 0 0) in
+    if victim.valid then begin
       t.stats.writebacks <- t.stats.writebacks + 1;
       t.set_conflicts.(si) <- t.set_conflicts.(si) + 1
     end;
-    !victim.valid <- true;
-    !victim.tag <- key;
-    !victim.lru <- t.clock
-  end;
-  !hit
+    victim.valid <- true;
+    victim.tag <- key;
+    victim.lru <- t.clock;
+    false
+  end
 
 (** Invalidate the cached copy of [ClassID ‖ Line] if present (fault
     injection: forced eviction). Timing-only — the next access misses and
@@ -120,20 +152,13 @@ let evict t ~classid ~line =
   let set = t.sets.((classid + (line * 41)) mod nsets t) in
   Array.iter (fun w -> if w.valid && w.tag = key then w.valid <- false) set
 
-(** The result of a special store's Class Cache request. *)
-type access_result = {
-  hit : bool;  (** false = the Class List in memory was walked *)
-  exn_raised : bool;  (** misspeculation hardware exception *)
-  functions_to_deopt : int list;
-      (** FunctionList of the broken slot (empty unless [exn_raised]) *)
-  outcome : Class_list.update_outcome;
-}
-
 (** One special-store request (paper Fig. 4/5/6): looks up/fills the cache,
     applies the profiling update, and raises the misspeculation exception
     when a speculated slot goes polymorphic. On exception the runtime's
     share of the work (draining the FunctionList, clearing SpeculateMap) is
-    performed here and the victims are returned for deoptimization. *)
+    performed here and the victims are returned for deoptimization. The
+    returned record is the cache's own [result], overwritten by the next
+    request. *)
 let access t (cl : Class_list.t) ~classid ~line ~pos ~value_classid =
   let inj = t.fault in
   let armed = Tce_fault.Injector.armed inj in
@@ -159,13 +184,19 @@ let access t (cl : Class_list.t) ~classid ~line ~pos ~value_classid =
         ~map:Class_list.Speculate_map
   end;
   let hit = touch t ~classid ~line in
-  let outcome, fns =
-    if
-      armed
-      && Tce_fault.Injector.fire inj ~classid ~line ~pos
-           Tce_fault.Point.Cc_drop_update
-    then (Class_list.Still_mono, []) (* the profiling update is lost *)
-    else Class_list.apply cl ~classid ~line ~pos ~value_classid
+  let dropped =
+    armed
+    && Tce_fault.Injector.fire inj ~classid ~line ~pos
+         Tce_fault.Point.Cc_drop_update
+  in
+  (* a dropped update loses the profiling update *)
+  let outcome =
+    if dropped then Class_list.Still_mono
+    else Class_list.update cl ~classid ~line ~pos ~value_classid
+  in
+  let fns =
+    if dropped then []
+    else Class_list.victims cl ~classid ~line ~pos ~value_classid outcome
   in
   (match outcome with
   | Class_list.First_profile -> t.stats.first_profiles <- t.stats.first_profiles + 1
@@ -203,23 +234,27 @@ let access t (cl : Class_list.t) ~classid ~line ~pos ~value_classid =
   in
   let due = if armed then Tce_fault.Injector.tick_delayed inj else [] in
   let fns = delivered @ due in
+  let r = t.result in
+  r.hit <- hit;
+  r.outcome <- outcome;
   if fns <> [] then begin
     t.stats.exceptions <- t.stats.exceptions + 1;
     if Tce_obs.Trace.on t.trace then
       Tce_obs.Trace.emit t.trace
         (Tce_obs.Trace.Cc_exception
            { classid; line; pos; victims = List.length fns });
-    { hit; exn_raised = true; functions_to_deopt = fns; outcome }
+    r.exn_raised <- true;
+    r.functions_to_deopt <- fns
   end
-  else
-    { hit;
-      exn_raised =
-        (match outcome with
-        | Class_list.Now_polymorphic { exception_raised = true; _ } ->
-          not suppressed
-        | _ -> false);
-      functions_to_deopt = [];
-      outcome }
+  else begin
+    r.exn_raised <-
+      (match outcome with
+      | Class_list.Now_polymorphic { exception_raised = true; _ } ->
+        not suppressed
+      | _ -> false);
+    r.functions_to_deopt <- []
+  end;
+  r
 
 (** Install the observability sink (the engine wires its trace here). *)
 let set_trace t tr = t.trace <- tr

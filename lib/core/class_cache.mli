@@ -19,6 +19,14 @@ type stats = {
   mutable exceptions : int;  (** misspeculation hardware exceptions *)
 }
 
+type access_result = {
+  mutable hit : bool;  (** false = the Class List in memory was walked *)
+  mutable exn_raised : bool;  (** misspeculation hardware exception *)
+  mutable functions_to_deopt : int list;
+      (** FunctionLists of the broken slot and affected descendants *)
+  mutable outcome : Class_list.update_outcome;
+}
+
 type t = private {
   config : config;
   sets : way array array;
@@ -32,6 +40,7 @@ type t = private {
   mutable fault : Tce_fault.Injector.t;
       (** fault injector for campaigns (installed by the engine;
           {!Tce_fault.Injector.null} = disarmed, zero-cost) *)
+  result : access_result;  (** filled and returned by {!access} *)
 }
 
 and way = { mutable tag : int; mutable valid : bool; mutable lru : int }
@@ -46,17 +55,11 @@ val touch : t -> classid:int -> line:int -> bool
     injection: forced eviction; timing-only). *)
 val evict : t -> classid:int -> line:int -> unit
 
-type access_result = {
-  hit : bool;  (** false = the Class List in memory was walked *)
-  exn_raised : bool;  (** misspeculation hardware exception *)
-  functions_to_deopt : int list;
-      (** FunctionLists of the broken slot and affected descendants *)
-  outcome : Class_list.update_outcome;
-}
-
 (** One special-store request (paper Fig. 4/5/6): look up/fill the cache,
     apply the profiling update (with transition-tree propagation), and
-    raise the misspeculation exception when a speculated slot breaks. *)
+    raise the misspeculation exception when a speculated slot breaks.
+    Returns the cache's own [result] record, overwritten by the next
+    request: read it before calling [access] again. *)
 val access :
   t -> Class_list.t -> classid:int -> line:int -> pos:int -> value_classid:int ->
   access_result

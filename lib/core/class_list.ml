@@ -251,32 +251,44 @@ let update t ~classid ~line ~pos ~value_classid =
     Now_polymorphic { was_speculated; exception_raised = was_speculated }
   end
 
-(** Full store-event application: updates the entry for the store-time
-    class and propagates the observed value class down the transition tree
-    (objects of [classid] may later transition to a descendant class, so a
+(** The speculators a store event deoptimizes, given [outcome], the result
+    of {!update} on the store-time class: the own entry's FunctionList when
+    the update raised, then — in transition order — those of materialized
+    descendants, to which the observed value class is propagated (objects
+    of [classid] may later transition to a descendant class, so a
     descendant's profile that disagrees with this store must be
-    invalidated). Returns the own-entry outcome and every speculating
-    function to deoptimize (own + descendants). *)
-let rec apply t ~classid ~line ~pos ~value_classid : update_outcome * int list =
-  let outcome = update t ~classid ~line ~pos ~value_classid in
-  let own_fns =
+    invalidated). Allocates only the victim lists. *)
+let rec victims t ~classid ~line ~pos ~value_classid outcome =
+  let own =
     match outcome with
     | Now_polymorphic { exception_raised = true; _ } ->
       take_speculators t ~classid ~line ~pos
     | _ -> []
   in
-  let child_fns =
-    List.concat_map
-      (fun c' ->
-        if c' = classid then []
-        else
-          match t.entries.(index ~classid:c' ~line) with
-          | Some _ ->
-            snd (apply t ~classid:c' ~line ~pos ~value_classid)
-          | None -> [] (* lazy inheritance will copy the updated state *))
-      (t.children_of classid)
-  in
-  (outcome, own_fns @ child_fns)
+  own @ child_victims t (t.children_of classid) ~parent:classid ~line ~pos
+    ~value_classid
+
+and child_victims t children ~parent ~line ~pos ~value_classid =
+  match children with
+  | [] -> []
+  | c :: rest ->
+    let here =
+      if c = parent then []
+      else
+        match t.entries.(index ~classid:c ~line) with
+        | Some _ ->
+          victims t ~classid:c ~line ~pos ~value_classid
+            (update t ~classid:c ~line ~pos ~value_classid)
+        | None -> [] (* lazy inheritance will copy the updated state *)
+    in
+    here @ child_victims t rest ~parent ~line ~pos ~value_classid
+
+(** Full store-event application: {!update} on the store-time class, then
+    {!victims}. Returns the own-entry outcome and every speculating
+    function to deoptimize (own + descendants). *)
+let apply t ~classid ~line ~pos ~value_classid : update_outcome * int list =
+  let outcome = update t ~classid ~line ~pos ~value_classid in
+  (outcome, victims t ~classid ~line ~pos ~value_classid outcome)
 
 (** Retire a value class whose objects mutated their hidden class in place
     (elements-kind transitions): every profile naming it is invalidated —

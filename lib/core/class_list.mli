@@ -125,10 +125,16 @@ type update_outcome =
 val update : t -> classid:int -> line:int -> pos:int -> value_classid:int ->
   update_outcome
 
-(** Full store-event application: [update] on the store-time class plus
-    propagation of the observed value class to materialized transition
-    descendants. Returns the own-entry outcome and every speculating code id
-    to deoptimize. *)
+(** The second half of a store event, after [update] on the store-time
+    class returned [outcome]: propagate the observed value class to
+    materialized transition descendants and return every speculating code
+    id to deoptimize (own entry first, then descendants in transition
+    order). Allocates only the returned list. *)
+val victims : t -> classid:int -> line:int -> pos:int -> value_classid:int ->
+  update_outcome -> int list
+
+(** Full store-event application: [update] then {!victims}. Returns the
+    own-entry outcome and every speculating code id to deoptimize. *)
 val apply : t -> classid:int -> line:int -> pos:int -> value_classid:int ->
   update_outcome * int list
 

@@ -439,6 +439,7 @@ let fire_store_event t ~classid ~line ~pos ~value_classid =
   if t.cfg.mechanism && CL.is_tracked t.cl ~pos then begin
     let r = CC.access t.cc t.cl ~classid ~line ~pos ~value_classid in
     if r.CC.exn_raised then begin
+      let fns = r.CC.functions_to_deopt in
       if measuring t then
         t.counters.Tce_machine.Counters.cc_exception_deopts <-
           t.counters.Tce_machine.Counters.cc_exception_deopts + 1;
@@ -448,8 +449,8 @@ let fire_store_event t ~classid ~line ~pos ~value_classid =
             (Printf.sprintf "store of class %d into slot(%d,%d)" value_classid
                line pos)
           ~classid ~line ~pos
-          ~victims:(victim_names t r.CC.functions_to_deopt);
-      invalidate_opt t r.CC.functions_to_deopt
+          ~victims:(victim_names t fns);
+      invalidate_opt t fns
     end
   end
 
@@ -728,24 +729,6 @@ let rec call_function t fid (args : Value.t array) : Value.t =
   t.depth <- t.depth + 1;
   if t.depth > max_depth then raise (Engine_error "guest stack overflow");
   try_optimize t fn;
-  let interp () =
-    let n = max fn.Bytecode.n_regs 1 in
-    (* pooled register file: recycle instead of one [Array.make] per call
-       (registers are immediate [Value.t]s, so reuse is GC-transparent);
-       the used prefix is re-initialized to the fresh-allocation state *)
-    let regs =
-      match t.regs_pool with
-      | a :: rest when Array.length a >= n ->
-        t.regs_pool <- rest;
-        Array.fill a 0 n t.heap.Heap.null_v;
-        a
-      | _ -> Array.make n t.heap.Heap.null_v
-    in
-    Array.blit args 0 regs 0 (min (Array.length args) fn.Bytecode.n_regs);
-    let r = interp_from t fn regs 0 in
-    t.regs_pool <- regs :: t.regs_pool;
-    r
-  in
   let result =
     match fn.Bytecode.opt with
     | Some code when not code.Lir.invalidated ->
@@ -757,13 +740,34 @@ let rec call_function t fid (args : Value.t array) : Value.t =
         && stale_speculation t code.Lir.opt_id
       then begin
         detect_stale t code.Lir.opt_id ~cause:"stale-speculation-at-entry";
-        interp ()
+        interp_call t fn args
       end
       else Tce_machine.Machine.run t.mach (host t) code args
-    | _ -> interp ()
+    | _ -> interp_call t fn args
   in
   t.depth <- t.depth - 1;
   result
+
+(* Run [fn] in the interpreter from its entry. Top-level rather than a
+   local closure in [call_function], which would be allocated on every
+   guest call, optimized ones included. *)
+and interp_call t (fn : Bytecode.func) (args : Value.t array) : Value.t =
+  let n = max fn.Bytecode.n_regs 1 in
+  (* pooled register file: recycle instead of one [Array.make] per call
+     (registers are immediate [Value.t]s, so reuse is GC-transparent);
+     the used prefix is re-initialized to the fresh-allocation state *)
+  let regs =
+    match t.regs_pool with
+    | a :: rest when Array.length a >= n ->
+      t.regs_pool <- rest;
+      Array.fill a 0 n t.heap.Heap.null_v;
+      a
+    | _ -> Array.make n t.heap.Heap.null_v
+  in
+  Array.blit args 0 regs 0 (min (Array.length args) fn.Bytecode.n_regs);
+  let r = interp_from t fn regs 0 in
+  t.regs_pool <- regs :: t.regs_pool;
+  r
 
 and construct t fid (args : Value.t array) : Value.t =
   let ctor = t.prog.Bytecode.funcs.(fid) in
@@ -839,6 +843,9 @@ and interp_from t (fn : Bytecode.func) (regs : Value.t array) start_pc : Value.t
      never mid-execution, so it is loop-invariant here *)
   let msr = measuring t in
   let mach = t.mach in
+  (* the feedback vector as the property paths take it, allocated once per
+     activation instead of once per property access *)
+  let sfb = Some fb in
   while !running do
     let pc0 = !pc in
     let op = code.(pc0) in
@@ -882,16 +889,16 @@ and interp_from t (fn : Bytecode.func) (regs : Value.t array) start_pc : Value.t
       regs.(d) <- Runtime.eval_unop h uop regs.(a);
       pc := next
     | GetProp (d, o, name, slot) ->
-      regs.(d) <- get_prop t (Some fb) slot regs.(o) name;
+      regs.(d) <- get_prop t sfb slot regs.(o) name;
       pc := next
     | SetProp (o, name, v, slot) ->
-      set_prop t (Some fb) slot regs.(o) name regs.(v);
+      set_prop t sfb slot regs.(o) name regs.(v);
       pc := next
     | GetElem (d, o, i, slot) ->
-      regs.(d) <- get_elem t (Some fb) slot regs.(o) regs.(i);
+      regs.(d) <- get_elem t sfb slot regs.(o) regs.(i);
       pc := next
     | SetElem (o, i, v, slot) ->
-      set_elem t (Some fb) slot regs.(o) regs.(i) regs.(v);
+      set_elem t sfb slot regs.(o) regs.(i) regs.(v);
       pc := next
     | GetGlobal (d, i) ->
       regs.(d) <- Mem.load h.Heap.mem (t.globals_base + (8 * i));
@@ -923,16 +930,15 @@ and interp_from t (fn : Bytecode.func) (regs : Value.t array) start_pc : Value.t
       pc := next
     | Call (d, fid, argr) ->
       let args =
-        Array.append [| h.Heap.null_v |] (Array.map (fun r -> regs.(r)) argr)
+        Array.append [| h.Heap.null_v |] (Tce_machine.Machine.gather regs argr)
       in
       regs.(d) <- call_function t fid args;
       pc := next
     | CallB (d, b, argr) ->
-      let args = Array.map (fun r -> regs.(r)) argr in
-      regs.(d) <- apply_builtin t b args;
+      regs.(d) <- apply_builtin t b (Tce_machine.Machine.gather regs argr);
       pc := next
     | New (d, fid, argr) ->
-      regs.(d) <- construct t fid (Array.map (fun r -> regs.(r)) argr);
+      regs.(d) <- construct t fid (Tce_machine.Machine.gather regs argr);
       pc := next
     | Jump target ->
       if target <= pc0 then
@@ -1034,53 +1040,67 @@ and apply_builtin t (b : Builtins.t) (args : Value.t array) : Value.t =
     Value.smi (len + 1)
   | _ -> Runtime.builtin_apply t.heap t.io b args
 
+(** A runtime stub, executed functionally. The double result goes to the
+    machine's [rt_fres] cell: the FP result of [Rt_fmod], else the numeric
+    value of the returned [Value.t] (0.0 for non-numbers). *)
 and rt_call t (rt : Lir.rt) (args : Value.t array) (fargs : float array) :
-    Value.t * float =
+    Value.t =
   let h = t.heap in
-  let ret v = (v, Runtime.float_of_result h v) in
-  (* allocations from optimized code land in the (cache-resident) nursery *)
-  let ret_alloc v =
-    if Value.is_ptr v then begin
-      let addr = Value.ptr_addr v in
-      let bytes =
-        if Heap.is_number h v then 16
-        else Tce_vm.Layout.line_bytes * Heap.obj_lines h addr
-      in
-      Tce_machine.Machine.prefill t.mach ~addr ~bytes;
-      (* arrays: the elements store too *)
-      if Heap.is_object h v && Heap.elements_ptr h v <> 0 then begin
-        let e = Heap.elements_ptr h v in
-        Tce_machine.Machine.prefill t.mach ~addr:e
-          ~bytes:((Tce_vm.Layout.elements_header_words + Heap.elements_capacity h e) * 8)
-      end
-    end;
-    ret v
-  in
   match rt with
   | Lir.Rt_alloc_object (cid, reserve) ->
-    ret_alloc
+    ret_alloc t
       (Heap.alloc_object h
          (Hidden_class.Registry.find_exn h.Heap.reg cid)
          ~reserve_props:reserve)
-  | Rt_alloc_array (ek, cap) -> ret_alloc (Heap.alloc_array h ~capacity:(max cap 1) ek)
-  | Rt_box_double -> ret_alloc (Heap.number h fargs.(0))
-  | Rt_generic_get_prop name -> ret (get_prop t None (-1) args.(0) name)
+  | Rt_alloc_array (ek, cap) ->
+    ret_alloc t (Heap.alloc_array h ~capacity:(max cap 1) ek)
+  | Rt_box_double -> ret_alloc t (Heap.number h fargs.(0))
+  | Rt_generic_get_prop name -> ret t (get_prop t None (-1) args.(0) name)
   | Rt_generic_set_prop name ->
     set_prop t None (-1) args.(0) name args.(1);
-    ret h.Heap.null_v
-  | Rt_generic_get_elem -> ret (get_elem t None (-1) args.(0) args.(1))
+    ret t h.Heap.null_v
+  | Rt_generic_get_elem -> ret t (get_elem t None (-1) args.(0) args.(1))
   | Rt_generic_set_elem ->
     set_elem t None (-1) args.(0) args.(1) args.(2);
-    ret h.Heap.null_v
-  | Rt_generic_binop op -> ret (fst (Runtime.eval_binop h op args.(0) args.(1)))
-  | Rt_generic_unop op -> ret (Runtime.eval_unop h op args.(0))
+    ret t h.Heap.null_v
+  | Rt_generic_binop op ->
+    ret t (Runtime.eval_binop_cell h op args.(0) args.(1) t.binop_cell)
+  | Rt_generic_unop op -> ret t (Runtime.eval_unop h op args.(0))
   | Rt_elem_store_slow ->
     set_elem t None (-1) args.(0) args.(1) args.(2);
-    ret h.Heap.null_v
-  | Rt_to_bool -> ret (Heap.bool_v h (Heap.is_truthy h args.(0)))
-  | Rt_builtin b -> ret (apply_builtin t b args)
-  | Rt_fmod -> (Value.smi 0, Tce_vm.Fbits.canon (Float.rem fargs.(0) fargs.(1)))
+    ret t h.Heap.null_v
+  | Rt_to_bool -> ret t (Heap.bool_v h (Heap.is_truthy h args.(0)))
+  | Rt_builtin b -> ret t (apply_builtin t b args)
+  | Rt_fmod ->
+    t.mach.Tce_machine.Machine.rt_fres.(0) <-
+      Tce_vm.Fbits.canon (Float.rem fargs.(0) fargs.(1));
+    Value.smi 0
   | Rt_trap msg -> raise (Engine_error msg)
+
+(* [ret] / [ret_alloc] are top-level: local closures over [t] would be
+   allocated on every stub call. *)
+and ret t v =
+  Runtime.store_float_result t.heap v t.mach.Tce_machine.Machine.rt_fres;
+  v
+
+(* allocations from optimized code land in the (cache-resident) nursery *)
+and ret_alloc t v =
+  let h = t.heap in
+  if Value.is_ptr v then begin
+    let addr = Value.ptr_addr v in
+    let bytes =
+      if Heap.is_number h v then 16
+      else Tce_vm.Layout.line_bytes * Heap.obj_lines h addr
+    in
+    Tce_machine.Machine.prefill t.mach ~addr ~bytes;
+    (* arrays: the elements store too *)
+    if Heap.is_object h v && Heap.elements_ptr h v <> 0 then begin
+      let e = Heap.elements_ptr h v in
+      Tce_machine.Machine.prefill t.mach ~addr:e
+        ~bytes:((Tce_vm.Layout.elements_header_words + Heap.elements_capacity h e) * 8)
+    end
+  end;
+  ret t v
 
 (* --- running programs --- *)
 

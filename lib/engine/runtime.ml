@@ -48,23 +48,24 @@ let values_equal h a b =
 (* Out-cell variant: BinOp is the interpreter's hottest bytecode and the
    (value, feedback) result tuple was one minor allocation per executed
    binop. [fbc] is caller-owned and reused ([binop_fb] is all constant
-   constructors, so the cell write never allocates). *)
+   constructors, so the cell write never allocates). The helpers are
+   top-level: local closures over [h]/[a]/[b]/[fbc] would be allocated on
+   every call. *)
+let[@inline] num h a b (fbc : Feedback.binop_fb ref) f =
+  let r = Heap.number h f in
+  fbc := observe h a b (Value.is_smi r);
+  r
+
+(* comparisons produce booleans; their operand feedback is smi/number by
+   the operands alone (the V8 CompareIC), not by the (boolean) result *)
+let bool_res h a b (fbc : Feedback.binop_fb ref) r =
+  fbc :=
+    (if Value.is_smi a && Value.is_smi b then Feedback.Bf_smi
+     else observe h a b false);
+  Heap.bool_v h r
+
 let eval_binop_cell h (op : Tce_minijs.Ast.binop) a b
     (fbc : Feedback.binop_fb ref) : Value.t =
-  let num f =
-    let r = Heap.number h f in
-    fbc := observe h a b (Value.is_smi r);
-    r
-  in
-  (* comparisons produce booleans; their operand feedback is smi/number by
-     the operands alone (the V8 CompareIC), not by the (boolean) result *)
-  let cmp_fb () =
-    if Value.is_smi a && Value.is_smi b then Feedback.Bf_smi else observe h a b false
-  in
-  let bool_res r =
-    fbc := cmp_fb ();
-    Heap.bool_v h r
-  in
   match op with
   | Tce_minijs.Ast.Add ->
     if Heap.is_string h a || Heap.is_string h b then begin
@@ -75,11 +76,11 @@ let eval_binop_cell h (op : Tce_minijs.Ast.binop) a b
          else Feedback.Bf_generic);
       r
     end
-    else num (to_number h a +. to_number h b)
-  | Sub -> num (to_number h a -. to_number h b)
-  | Mul -> num (to_number h a *. to_number h b)
-  | Div -> num (to_number h a /. to_number h b)
-  | Mod -> num (Float.rem (to_number h a) (to_number h b))
+    else num h a b fbc (to_number h a +. to_number h b)
+  | Sub -> num h a b fbc (to_number h a -. to_number h b)
+  | Mul -> num h a b fbc (to_number h a *. to_number h b)
+  | Div -> num h a b fbc (to_number h a /. to_number h b)
+  | Mod -> num h a b fbc (Float.rem (to_number h a) (to_number h b))
   | Lt | Le | Gt | Ge ->
     if Heap.is_string h a && Heap.is_string h b then begin
       let c = compare (Heap.string_value h a) (Heap.string_value h b) in
@@ -96,7 +97,7 @@ let eval_binop_cell h (op : Tce_minijs.Ast.binop) a b
     end
     else begin
       let x = to_number h a and y = to_number h b in
-      bool_res
+      bool_res h a b fbc
         (match op with
         | Tce_minijs.Ast.Lt -> x < y
         | Le -> x <= y
@@ -104,8 +105,8 @@ let eval_binop_cell h (op : Tce_minijs.Ast.binop) a b
         | Ge -> x >= y
         | _ -> assert false)
     end
-  | Eq -> bool_res (values_equal h a b)
-  | Ne -> bool_res (not (values_equal h a b))
+  | Eq -> bool_res h a b fbc (values_equal h a b)
+  | Ne -> bool_res h a b fbc (not (values_equal h a b))
   | BitAnd | BitOr | BitXor | Shl | Shr | Ushr -> (
     let x = to_int32 h a and y = to_int32 h b in
     fbc :=
@@ -122,11 +123,6 @@ let eval_binop_cell h (op : Tce_minijs.Ast.binop) a b
       Heap.number h (float_of_int r)
     | _ -> assert false)
   | LAnd | LOr -> error "logical binop must be compiled to control flow"
-
-let eval_binop h (op : Tce_minijs.Ast.binop) a b : Value.t * Feedback.binop_fb =
-  let fbc = ref Feedback.Bf_smi in
-  let v = eval_binop_cell h op a b fbc in
-  (v, !fbc)
 
 let eval_unop h (op : Tce_minijs.Ast.unop) a : Value.t =
   match op with
@@ -146,34 +142,37 @@ let make_io ?(seed = 42) ?(trace = Tce_obs.Trace.null) () =
   { out = Buffer.create 1024; prng = Tce_support.Prng.create seed; trace }
 
 let builtin_apply h io (b : Builtins.t) (args : Value.t array) : Value.t =
-  let arg i = args.(i) in
-  let numf i = to_number h (arg i) in
+  (* no local [arg i] / [numf i] helpers: closures over [args] would be
+     allocated on every call *)
   match b with
   | Builtins.B_print ->
-    Buffer.add_string io.out (to_display h (arg 0));
+    Buffer.add_string io.out (to_display h args.(0));
     Buffer.add_char io.out '\n';
     h.Heap.null_v
-  | B_sqrt -> Heap.number h (sqrt (numf 0))
-  | B_abs -> Heap.number h (Float.abs (numf 0))
-  | B_floor -> Heap.number h (Float.floor (numf 0))
-  | B_ceil -> Heap.number h (Float.ceil (numf 0))
-  | B_sin -> Heap.number h (sin (numf 0))
-  | B_cos -> Heap.number h (cos (numf 0))
-  | B_exp -> Heap.number h (exp (numf 0))
-  | B_log -> Heap.number h (log (numf 0))
-  | B_pow -> Heap.number h (Float.pow (numf 0) (numf 1))
-  | B_min -> Heap.number h (Float.min (numf 0) (numf 1))
-  | B_max -> Heap.number h (Float.max (numf 0) (numf 1))
+  | B_sqrt -> Heap.number h (sqrt (to_number h args.(0)))
+  | B_abs -> Heap.number h (Float.abs (to_number h args.(0)))
+  | B_floor -> Heap.number h (Float.floor (to_number h args.(0)))
+  | B_ceil -> Heap.number h (Float.ceil (to_number h args.(0)))
+  | B_sin -> Heap.number h (sin (to_number h args.(0)))
+  | B_cos -> Heap.number h (cos (to_number h args.(0)))
+  | B_exp -> Heap.number h (exp (to_number h args.(0)))
+  | B_log -> Heap.number h (log (to_number h args.(0)))
+  | B_pow ->
+    Heap.number h (Float.pow (to_number h args.(0)) (to_number h args.(1)))
+  | B_min ->
+    Heap.number h (Float.min (to_number h args.(0)) (to_number h args.(1)))
+  | B_max ->
+    Heap.number h (Float.max (to_number h args.(0)) (to_number h args.(1)))
   | B_random -> Heap.number h (Tce_support.Prng.float io.prng)
   | B_array_new ->
-    let n = int_of_float (numf 0) in
+    let n = int_of_float (to_number h args.(0)) in
     if n < 0 then error "array_new: negative length";
     Heap.alloc_array_filled h n
   | B_push ->
-    let a = arg 0 in
+    let a = args.(0) in
     if not (Heap.is_object h a) then error "push: not an array";
     let len = Heap.elements_len h a in
-    let grew = Heap.elem_set h a len (arg 1) in
+    let grew = Heap.elem_set h a len args.(1) in
     if grew && Tce_obs.Trace.on io.trace then
       Tce_obs.Trace.emit io.trace
         (Tce_obs.Trace.Gc
@@ -182,26 +181,33 @@ let builtin_apply h io (b : Builtins.t) (args : Value.t array) : Value.t =
              grows = h.Heap.stats.Heap.elements_grows;
            });
     Value.smi (len + 1)
-  | B_str_len -> Value.smi (String.length (Heap.string_value h (arg 0)))
+  | B_str_len -> Value.smi (String.length (Heap.string_value h args.(0)))
   | B_char_code ->
-    let s = Heap.string_value h (arg 0) in
-    let i = Value.smi_value (arg 1) in
+    let s = Heap.string_value h args.(0) in
+    let i = Value.smi_value args.(1) in
     if i < 0 || i >= String.length s then error "char_code: index out of range";
     Value.smi (Char.code s.[i])
   | B_from_char_code ->
-    Heap.intern_string h (String.make 1 (Char.chr (to_int32 h (arg 0) land 0xff)))
+    Heap.intern_string h (String.make 1 (Char.chr (to_int32 h args.(0) land 0xff)))
   | B_substr ->
-    let s = Heap.string_value h (arg 0) in
-    let start = int_of_float (numf 1) and len = int_of_float (numf 2) in
+    let s = Heap.string_value h args.(0) in
+    let start = int_of_float (to_number h args.(1))
+    and len = int_of_float (to_number h args.(2)) in
     let start = max 0 (min start (String.length s)) in
     let len = max 0 (min len (String.length s - start)) in
     Heap.intern_string h (String.sub s start len)
   | B_str_eq ->
-    Heap.bool_v h (Heap.string_value h (arg 0) = Heap.string_value h (arg 1))
+    Heap.bool_v h (Heap.string_value h args.(0) = Heap.string_value h args.(1))
   | B_assert_eq ->
-    if not (values_equal h (arg 0) (arg 1)) then
-      error "assert_eq failed: %s <> %s" (to_display h (arg 0)) (to_display h (arg 1));
+    if not (values_equal h args.(0) args.(1)) then
+      error "assert_eq failed: %s <> %s" (to_display h args.(0))
+        (to_display h args.(1));
     h.Heap.null_v
 
-(** Numeric payload of a builtin/stub result for the float register path. *)
-let float_of_result h v = if is_numeric h v then to_number h v else 0.0
+(** Numeric payload of a builtin/stub result for the float register path,
+    written to [cell.(0)] (returning it would box it). *)
+let store_float_result h v (cell : float array) =
+  cell.(0) <-
+    (if Value.is_smi v then float_of_int (Value.smi_value v)
+     else if Heap.is_number h v then Heap.number_value h v
+     else 0.0)

@@ -23,16 +23,11 @@ val observe :
     kinds unequal (strict-flavored; see DESIGN.md). *)
 val values_equal : Tce_vm.Heap.t -> Tce_vm.Value.t -> Tce_vm.Value.t -> bool
 
-(** Evaluate a binary operator; also returns the feedback observation.
+(** Evaluate a binary operator, writing the feedback observation into the
+    caller-owned cell (allocates only the result: a heap number or an
+    interned string).
     @raise Guest_error on type errors (and on [LAnd]/[LOr], which compile to
     control flow). *)
-val eval_binop :
-  Tce_vm.Heap.t -> Tce_minijs.Ast.binop -> Tce_vm.Value.t -> Tce_vm.Value.t ->
-  Tce_vm.Value.t * Tce_jit.Feedback.binop_fb
-
-(** Allocation-free variant: writes the feedback observation into the
-    caller-owned cell instead of pairing it with the result (the
-    interpreter's per-binop fast path). *)
 val eval_binop_cell :
   Tce_vm.Heap.t -> Tce_minijs.Ast.binop -> Tce_vm.Value.t -> Tce_vm.Value.t ->
   Tce_jit.Feedback.binop_fb ref -> Tce_vm.Value.t
@@ -54,6 +49,7 @@ val builtin_apply :
   Tce_vm.Heap.t -> io -> Tce_jit.Builtins.t -> Tce_vm.Value.t array ->
   Tce_vm.Value.t
 
-(** Numeric payload for the float-register result path (0 for
-    non-numbers). *)
-val float_of_result : Tce_vm.Heap.t -> Tce_vm.Value.t -> float
+(** [store_float_result h v cell] writes the numeric payload of a stub
+    result (0 for non-numbers) to [cell.(0)], for the float-register result
+    path. Writing to a cell keeps the [float] unboxed. *)
+val store_float_result : Tce_vm.Heap.t -> Tce_vm.Value.t -> float array -> unit

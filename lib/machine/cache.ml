@@ -40,43 +40,48 @@ let create ~size_kb ~ways ~line_bytes =
    [line mod nsets]. *)
 let set_of t line = if t.set_mask >= 0 then line land t.set_mask else line mod t.nsets
 
-(** Access the line containing [addr]; fills on miss. Returns [true] on hit.
+(* The way loops are top-level functions with [int]-annotated parameters:
+   a local [let rec] closing over [tags] / [line] is heap-allocated on every
+   call by the Closure backend, and an unannotated hoist generalises to
+   ['a] and compares through [caml_equal]. *)
 
-    Both scans are tail-recursive loops rather than [ref]-based ones: a
-    line lives in at most one way, so early exit is equivalent to the
-    reference full scan, and avoiding the ref cells keeps the hot hit path
-    allocation-free (classic mode heap-allocates local refs). The victim
-    choice — last empty way if any, else the first way with the strictly
-    smallest LRU stamp — is bit-identical to the reference model. *)
+(* Way holding [line] in [tags.(0 .. ways-1)], or -1. A line lives in at
+   most one way, so the first match is the only one. *)
+let rec scan (tags : int array) (line : int) (ways : int) (w : int) : int =
+  if w >= ways then -1
+  else if Array.unsafe_get tags w = line then w
+  else scan tags line ways (w + 1)
+
+(* Victim way: the last empty way if any, else the first way with the
+   strictly smallest LRU stamp — the reference model's choice. Shared with
+   {!Tlb}, whose entries follow the same policy. *)
+let rec pick (tags : int array) (lru : int array) (ways : int) (w : int)
+    (v : int) : int =
+  if w >= ways then v
+  else if Array.unsafe_get tags w = -1 then pick tags lru ways (w + 1) w
+  else if
+    Array.unsafe_get tags v <> -1
+    && Array.unsafe_get lru w < Array.unsafe_get lru v
+  then pick tags lru ways (w + 1) w
+  else pick tags lru ways (w + 1) v
+
+(** Access the line containing [addr]; fills on miss. Returns [true] on hit.
+    Allocates nothing. The victim choice is bit-identical to the reference
+    model's full scan. *)
 let access t addr =
   let line = addr lsr t.line_bits in
   let set = set_of t line in
   let tags = t.tags.(set) and lru = t.lru.(set) in
   t.clock <- t.clock + 1;
   t.stats.accesses <- t.stats.accesses + 1;
-  let ways = t.ways in
-  let rec scan w =
-    if w >= ways then -1
-    else if Array.unsafe_get tags w = line then w
-    else scan (w + 1)
-  in
-  let hw = scan 0 in
+  let hw = scan tags line t.ways 0 in
   if hw >= 0 then begin
     Array.unsafe_set lru hw t.clock;
     t.stats.hits <- t.stats.hits + 1
   end
   else begin
     t.stats.misses <- t.stats.misses + 1;
-    let rec pick w v =
-      if w >= ways then v
-      else if Array.unsafe_get tags w = -1 then pick (w + 1) w
-      else if
-        Array.unsafe_get tags v <> -1
-        && Array.unsafe_get lru w < Array.unsafe_get lru v
-      then pick (w + 1) w
-      else pick (w + 1) v
-    in
-    let victim = pick 0 0 in
+    let victim = pick tags lru t.ways 0 0 in
     tags.(victim) <- line;
     lru.(victim) <- t.clock
   end;
@@ -89,22 +94,8 @@ let insert t addr =
   let set = set_of t line in
   let tags = t.tags.(set) and lru = t.lru.(set) in
   t.clock <- t.clock + 1;
-  let ways = t.ways in
-  let rec scan w =
-    if w >= ways then false
-    else Array.unsafe_get tags w = line || scan (w + 1)
-  in
-  if not (scan 0) then begin
-    let rec pick w v =
-      if w >= ways then v
-      else if Array.unsafe_get tags w = -1 then pick (w + 1) w
-      else if
-        Array.unsafe_get tags v <> -1
-        && Array.unsafe_get lru w < Array.unsafe_get lru v
-      then pick (w + 1) w
-      else pick (w + 1) v
-    in
-    let victim = pick 0 0 in
+  if scan tags line t.ways 0 < 0 then begin
+    let victim = pick tags lru t.ways 0 0 in
     tags.(victim) <- line;
     lru.(victim) <- t.clock
   end

@@ -20,6 +20,11 @@ val create : size_kb:int -> ways:int -> line_bytes:int -> t
     hit. *)
 val access : t -> int -> bool
 
+(** [pick tags lru ways 0 0] is the LRU victim among [tags.(0 .. ways-1)]
+    ([-1] = empty): the last empty way if any, else the first way with the
+    strictly smallest [lru] stamp. Shared with {!Tlb}. *)
+val pick : int array -> int array -> int -> int -> int -> int
+
 (** Insert a line without touching statistics — models allocation into a
     cache-resident nursery (DESIGN.md §5b). *)
 val insert : t -> int -> unit

@@ -133,8 +133,7 @@ let cat t cat = t.by_cat.(Tce_jit.Categories.index cat)
     the Class List slot [(classid, line, pos)]. *)
 let record_obj_load t ~classid ~line ~pos =
   let key = (((classid lsl 8) lor line) lsl 3) lor pos in
-  Tce_support.Int_table.set t.obj_loads key
-    (1 + Tce_support.Int_table.find t.obj_loads key 0);
+  Tce_support.Int_table.incr t.obj_loads key 1;
   t.obj_loads_total <- t.obj_loads_total + 1;
   if line = 0 then t.obj_loads_first_line <- t.obj_loads_first_line + 1
 

@@ -11,11 +11,14 @@
     see DESIGN.md).
 
     The executor runs the {!Predecode} stream, not [Lir.func.code] — see
-    lib/machine/README.md for the pre-decode invariants. The run loop is
-    allocation-free: the window and store queue are int ring buffers, MSHR
-    fill tracking is an {!Tce_support.Int_table}, dispatch-port kinds are
-    ints, and loop exit is a [running] flag plus a result register instead
-    of an [option] compared per iteration. *)
+    lib/machine/README.md for the pre-decode invariants. The templated
+    executor allocates nothing per simulated instruction outside guest and
+    runtime calls (which allocate their argument vectors, and whatever the
+    called code allocates): the window and store queue are int ring
+    buffers, MSHR fill tracking is an {!Tce_support.Int_table}, the memory
+    model's loops are top-level int functions, FP results stay unboxed, and
+    loop exit is a [running] flag plus a result register. The budget is
+    gated by test/test_fastpath.ml ("optimized-tier allocation budget"). *)
 
 open Tce_vm
 open Tce_jit
@@ -41,8 +44,9 @@ type host = {
   resume : opt_id:int -> bc_pc:int -> regs:Value.t array ->
            result:(int * Value.t) option -> Value.t;
       (** deoptimization: resume the interpreter mid-function *)
-  rt_call : Lir.rt -> Value.t array -> float array -> Value.t * float;
-      (** execute a runtime stub functionally *)
+  rt_call : Lir.rt -> Value.t array -> float array -> Value.t;
+      (** execute a runtime stub functionally; its double result is written
+          to the machine's [rt_fres] cell *)
   on_cc_exception : cc_exn_info -> unit;
       (** invalidate the optimized code instances in [cc_victims] *)
   on_deopt : int -> unit;
@@ -154,10 +158,15 @@ type t = {
       (** compiled templates keyed like {!pre_cache}, with the decoded
           stream kept for the physical-equality guard; [None] = the stream
           was rejected by {!Template.layout} (stay on the slow loop) *)
-  mutable env_pool : tenv list;
-      (** free list of per-run environments; reusing the register files
-          avoids four [Array.make]s per guest call (registers are
-          immediate [Value.t]s, so recycling is GC-transparent) *)
+  mutable env_pool : tenv array;
+      (** stack of free per-run environments, [env_pool.(0 .. env_free-1)];
+          reusing the register files avoids four [Array.make]s per guest
+          call (registers are immediate [Value.t]s, so recycling is
+          GC-transparent) *)
+  mutable env_free : int;
+  rt_fres : float array;
+      (** one-element cell receiving a runtime stub's double result: a
+          [float] returned through the host record would be boxed *)
 }
 
 (* Int-specialized max: [Stdlib.max] is polymorphic and compiles to a
@@ -214,21 +223,27 @@ let create ?(cfg = Config.default) ?(mechanism = true)
     reg_classid_arr = Array.make 4 0;
     templates;
     tpl_cache = Hashtbl.create 64;
-    env_pool = [];
+    env_pool = [||];
+    env_free = 0;
+    rt_fres = [| 0.0 |];
   }
 
 (** {2 Pre-decode cache} *)
+
+let decode_into t (f : Lir.func) =
+  let pf = Predecode.decode f in
+  Hashtbl.replace t.pre_cache f.Lir.opt_id pf;
+  pf
 
 (** Decoded stream for [f], decoding at most once per compilation. Keyed by
     [opt_id] — fresh per compile — with a physical-equality guard so a
     rebuilt [Lir.func] under a reused id (unit tests) is re-decoded. *)
 let install t (f : Lir.func) =
-  match Hashtbl.find_opt t.pre_cache f.Lir.opt_id with
-  | Some pf when pf.Predecode.lf == f -> pf
-  | _ ->
-    let pf = Predecode.decode f in
-    Hashtbl.replace t.pre_cache f.Lir.opt_id pf;
-    pf
+  (* [find], not [find_opt]: this runs on every optimized call *)
+  match Hashtbl.find t.pre_cache f.Lir.opt_id with
+  | pf when pf.Predecode.lf == f -> pf
+  | _ -> decode_into t f
+  | exception Not_found -> decode_into t f
 
 (* --- timing primitives --- *)
 
@@ -379,7 +394,7 @@ exception Cc_exception of cc_exn_info
 
 (* --- the executor --- *)
 
-let alu_apply (a : Lir.alu) x y =
+let[@inline] alu_apply (a : Lir.alu) x y =
   match a with
   | Lir.Add -> x + y
   | Sub -> x - y
@@ -393,7 +408,7 @@ let alu_apply (a : Lir.alu) x y =
   | Shr -> (x land 0xffff_ffff) lsr (y land 31)  (* JS >>> on uint32 *)
   | Sar -> x asr (y land 31)
 
-let cond_apply (c : Lir.cond) x y =
+let[@inline] cond_apply (c : Lir.cond) (x : int) (y : int) =
   match c with
   | Lir.Eq -> x = y
   | Ne -> x <> y
@@ -404,7 +419,7 @@ let cond_apply (c : Lir.cond) x y =
   | Bit_set -> x land y <> 0
   | Bit_clear -> x land y = 0
 
-let fcond_apply (c : Lir.fcond) (x : float) (y : float) =
+let[@inline] fcond_apply (c : Lir.fcond) (x : float) (y : float) =
   match c with
   | Lir.FEq -> x = y
   | FNe -> x <> y
@@ -417,6 +432,10 @@ let fcond_apply (c : Lir.fcond) (x : float) (y : float) =
   | FNle -> not (x <= y)
   | FNgt -> not (x > y)
   | FNge -> not (x >= y)
+
+(* Full-width shifts for tag arithmetic: [sc] 0 = lsl, 1 = lsr, 2 = asr. *)
+let[@inline] sh64_apply sc x y =
+  if sc = 0 then x lsl y else if sc = 1 then x lsr y else x asr y
 
 let flat_lat = 3 (* FP add/sub/cvt latency *)
 let fsqrt_lat = 25
@@ -496,11 +515,38 @@ let do_store t d ~addr ~start ~word =
   t.stq_len <- t.stq_len + 1;
   complete t (imax d start + 1)
 
-let falu t d fregs fready fd fa fb op lat =
+(* Timing half of a two-operand FP op. The value half is written inline at
+   each call site: passing the operator as a closure boxed both operands
+   and the result on every execution. *)
+let falu_time t d fready fd fa fb lat =
   let start = imax d (imax fready.(fa) fready.(fb)) in
-  fregs.(fd) <- Fbits.canon (op fregs.(fa) fregs.(fb));
   fready.(fd) <- start + lat;
   complete t fready.(fd)
+
+(* Operands of a guest or runtime call: wait until they are ready
+   ([serialize_on]), then copy them into a fresh argument vector
+   ([gather]). Top-level loops, because an [Array.iter] / [Array.map]
+   closure over the register file would be one more allocation per call. *)
+let rec serialize_on t (ready : int array) (argr : int array) (i : int) =
+  if i < Array.length argr then begin
+    let c = ready.(argr.(i)) in
+    if c > t.cycle then t.cycle <- c;
+    serialize_on t ready argr (i + 1)
+  end
+
+let gather (regs : Value.t array) (argr : int array) : Value.t array =
+  let a = Array.make (Array.length argr) 0 in
+  for i = 0 to Array.length argr - 1 do
+    a.(i) <- regs.(argr.(i))
+  done;
+  a
+
+let gather_f (fregs : float array) (fargr : int array) : float array =
+  let a = Array.make (Array.length fargr) 0.0 in
+  for i = 0 to Array.length fargr - 1 do
+    a.(i) <- fregs.(fargr.(i))
+  done;
+  a
 
 let branch_resolve t ~opt_id ~pc ~start ~taken =
   let completion = start + 1 in
@@ -715,21 +761,13 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
          | Psh64_r (sc, rd, rs, ro) ->
            (* full-width shifts for tag arithmetic *)
            let start = imax d (imax ready.(rs) ready.(ro)) in
-           let y = regs.(ro) land 63 in
-           regs.(rd) <-
-             (if sc = 0 then regs.(rs) lsl y
-              else if sc = 1 then regs.(rs) lsr y
-              else regs.(rs) asr y);
+           regs.(rd) <- sh64_apply sc regs.(rs) (regs.(ro) land 63);
            ready.(rd) <- start + 1;
            complete t ready.(rd);
            pc := next
          | Psh64_i (sc, rd, rs, i) ->
            let start = imax d ready.(rs) in
-           let y = i land 63 in
-           regs.(rd) <-
-             (if sc = 0 then regs.(rs) lsl y
-              else if sc = 1 then regs.(rs) lsr y
-              else regs.(rs) asr y);
+           regs.(rd) <- sh64_apply sc regs.(rs) (i land 63);
            ready.(rd) <- start + 1;
            complete t ready.(rd);
            pc := next
@@ -853,16 +891,20 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
            complete t fready.(fd);
            pc := next
          | Pfadd (fd, fa, fb) ->
-           falu t d fregs fready fd fa fb ( +. ) 3;
+           fregs.(fd) <- Fbits.canon (fregs.(fa) +. fregs.(fb));
+           falu_time t d fready fd fa fb 3;
            pc := next
          | Pfsub (fd, fa, fb) ->
-           falu t d fregs fready fd fa fb ( -. ) 3;
+           fregs.(fd) <- Fbits.canon (fregs.(fa) -. fregs.(fb));
+           falu_time t d fready fd fa fb 3;
            pc := next
          | Pfmul (fd, fa, fb) ->
-           falu t d fregs fready fd fa fb ( *. ) 5;
+           fregs.(fd) <- Fbits.canon (fregs.(fa) *. fregs.(fb));
+           falu_time t d fready fd fa fb 5;
            pc := next
          | Pfdiv (fd, fa, fb) ->
-           falu t d fregs fready fd fa fb ( /. ) 20;
+           fregs.(fd) <- Fbits.canon (fregs.(fa) /. fregs.(fb));
+           falu_time t d fready fd fa fb 20;
            pc := next
          | Pfsqrt (fd, fs) ->
            fregs.(fd) <- Fbits.canon (sqrt fregs.(fs));
@@ -909,11 +951,11 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
            pc := target
          | Pcall_fn (callee, argr, rd, deopt_id, cinstrs) ->
            (* serialize on argument readiness *)
-           Array.iter (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r)) argr;
+           serialize_on t ready argr 0;
            t.slots <- 0;
            charge_rt_i t ~pcost:Profile.cost_call ~cat_idx:cat_other_idx
              ~instrs:cinstrs ~cycles:8;
-           let argv = Array.map (fun r -> regs.(r)) argr in
+           let argv = gather regs argr in
            let v = host.call_fn callee argv in
            (* the callee (a nested run) moved the attribution site; any
               cycles this frame still books (deopt below, next dispatch)
@@ -933,12 +975,11 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
              pc := next
            end
          | Pcall_rt_chk (rt, argr, rd, deopt_id, cinstrs, ccycles) ->
-           Array.iter (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r)) argr;
+           serialize_on t ready argr 0;
            charge_rt_i t ~pcost:Profile.cost_rt
              ~cat_idx:(m land Predecode.meta_cat_mask) ~instrs:cinstrs
              ~cycles:ccycles;
-           let argv = Array.map (fun r -> regs.(r)) argr in
-           let v, _ = host.rt_call rt argv [||] in
+           let v = host.rt_call rt (gather regs argr) [||] in
            if rd >= 0 then begin
              regs.(rd) <- v;
              ready.(rd) <- t.cycle + 1
@@ -955,20 +996,18 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
            end
            else pc := next
          | Pcall_rt (rt, argr, fargr, rd, fd, cinstrs, ccycles) ->
-           Array.iter (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r)) argr;
-           Array.iter (fun r -> if fready.(r) > t.cycle then t.cycle <- fready.(r)) fargr;
+           serialize_on t ready argr 0;
+           serialize_on t fready fargr 0;
            charge_rt_i t ~pcost:Profile.cost_rt
              ~cat_idx:(m land Predecode.meta_cat_mask) ~instrs:cinstrs
              ~cycles:ccycles;
-           let argv = Array.map (fun r -> regs.(r)) argr in
-           let fargv = Array.map (fun r -> fregs.(r)) fargr in
-           let v, fv = host.rt_call rt argv fargv in
+           let v = host.rt_call rt (gather regs argr) (gather_f fregs fargr) in
            if rd >= 0 then begin
              regs.(rd) <- v;
              ready.(rd) <- t.cycle + 1
            end;
            if fd >= 0 then begin
-             fregs.(fd) <- fv;
+             fregs.(fd) <- t.rt_fres.(0);
              fready.(fd) <- t.cycle + 1
            end;
            pc := next
@@ -1099,52 +1138,6 @@ let tpl_dispatch_k t kind =
   else if kind = kind_store then t.store_slots <- t.store_slots + 1;
   t.cycle
 
-(* Operator specialization: resolve the ALU/condition once at template
-   compile time instead of re-matching per executed instruction. *)
-
-let alu_fn (a : Lir.alu) : int -> int -> int =
-  match a with
-  | Lir.Add -> ( + )
-  | Sub -> ( - )
-  | Mul -> ( * )
-  | Div -> fun x y -> if y = 0 then 0 else x / y
-  | Rem -> fun x y -> if y = 0 then 0 else Stdlib.( mod ) x y
-  | And -> ( land )
-  | Or -> ( lor )
-  | Xor -> ( lxor )
-  | Shl -> fun x y -> x lsl (y land 31)
-  | Shr -> fun x y -> (x land 0xffff_ffff) lsr (y land 31)
-  | Sar -> fun x y -> x asr (y land 31)
-
-let cond_fn (c : Lir.cond) : int -> int -> bool =
-  match c with
-  | Lir.Eq -> fun x y -> x = y
-  | Ne -> fun x y -> x <> y
-  | Lt -> fun x y -> x < y
-  | Le -> fun x y -> x <= y
-  | Gt -> fun x y -> x > y
-  | Ge -> fun x y -> x >= y
-  | Bit_set -> fun x y -> x land y <> 0
-  | Bit_clear -> fun x y -> x land y = 0
-
-let fcond_fn (c : Lir.fcond) : float -> float -> bool =
-  match c with
-  | Lir.FEq -> fun x y -> x = y
-  | FNe -> fun x y -> x <> y
-  | FLt -> fun x y -> x < y
-  | FLe -> fun x y -> x <= y
-  | FGt -> fun x y -> x > y
-  | FGe -> fun x y -> x >= y
-  | FNlt -> fun x y -> not (x < y)
-  | FNle -> fun x y -> not (x <= y)
-  | FNgt -> fun x y -> not (x > y)
-  | FNge -> fun x y -> not (x >= y)
-
-let sh64_fn sc : int -> int -> int =
-  if sc = 0 then fun x y -> x lsl y
-  else if sc = 1 then fun x y -> x lsr y
-  else fun x y -> x asr y
-
 (* Terminator epilogues shared by the deopt-capable step closures —
    closures over nothing, mirroring [post_store_check] /
    [handle_cc_exception] / the OSR arms of the slow loop. *)
@@ -1230,67 +1223,60 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       ready.(rd) <- imax d ready.(rs) + 1;
       complete t ready.(rd)
   | Palu_r (a, lat, rd, rs, ro) ->
-    let op2 = alu_fn a in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
-      regs.(rd) <- op2 regs.(rs) regs.(ro);
+      regs.(rd) <- alu_apply a regs.(rs) regs.(ro);
       ready.(rd) <- start + lat;
       complete t ready.(rd)
   | Palu_i (a, lat, rd, rs, i) ->
-    let op2 = alu_fn a in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
-      regs.(rd) <- op2 regs.(rs) i;
+      regs.(rd) <- alu_apply a regs.(rs) i;
       ready.(rd) <- start + lat;
       complete t ready.(rd)
   | Psh64_r (sc, rd, rs, ro) ->
-    let sh = sh64_fn sc in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
-      regs.(rd) <- sh regs.(rs) (regs.(ro) land 63);
+      regs.(rd) <- sh64_apply sc regs.(rs) (regs.(ro) land 63);
       ready.(rd) <- start + 1;
       complete t ready.(rd)
   | Psh64_i (sc, rd, rs, i) ->
-    let sh = sh64_fn sc in
     let y = i land 63 in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
-      regs.(rd) <- sh regs.(rs) y;
+      regs.(rd) <- sh64_apply sc regs.(rs) y;
       ready.(rd) <- start + 1;
       complete t ready.(rd)
   | Palu32_r (a, lat, rd, rs, ro) ->
-    let op2 = alu_fn a in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
-      regs.(rd) <- Value.to_int32 (op2 regs.(rs) regs.(ro));
+      regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) regs.(ro));
       ready.(rd) <- start + lat;
       complete t ready.(rd)
   | Palu32_i (a, lat, rd, rs, i) ->
-    let op2 = alu_fn a in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
-      regs.(rd) <- Value.to_int32 (op2 regs.(rs) i);
+      regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) i);
       ready.(rd) <- start + lat;
       complete t ready.(rd)
   | Paluov_r (a, lat, rd, rs, ro, target) ->
-    let op2 = alu_fn a in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(rs) ready.(ro)) in
-      let v = op2 regs.(rs) regs.(ro) in
+      let v = alu_apply a regs.(rs) regs.(ro) in
       ready.(rd) <- start + lat;
       complete t ready.(rd);
       if Value.smi_fits (v asr 1) then begin
@@ -1299,12 +1285,11 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       end
       else env.te_pc <- target
   | Paluov_i (a, lat, rd, rs, i, target) ->
-    let op2 = alu_fn a in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d ready.(rs) in
-      let v = op2 regs.(rs) i in
+      let v = alu_apply a regs.(rs) i in
       ready.(rd) <- start + lat;
       complete t ready.(rd);
       if Value.smi_fits (v asr 1) then begin
@@ -1426,19 +1411,27 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
   | Pfadd (fd, fa, fb) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
-      falu t d env.te_fregs env.te_fready fd fa fb ( +. ) 3
+      let fregs = env.te_fregs in
+      fregs.(fd) <- Fbits.canon (fregs.(fa) +. fregs.(fb));
+      falu_time t d env.te_fready fd fa fb 3
   | Pfsub (fd, fa, fb) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
-      falu t d env.te_fregs env.te_fready fd fa fb ( -. ) 3
+      let fregs = env.te_fregs in
+      fregs.(fd) <- Fbits.canon (fregs.(fa) -. fregs.(fb));
+      falu_time t d env.te_fready fd fa fb 3
   | Pfmul (fd, fa, fb) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
-      falu t d env.te_fregs env.te_fready fd fa fb ( *. ) 5
+      let fregs = env.te_fregs in
+      fregs.(fd) <- Fbits.canon (fregs.(fa) *. fregs.(fb));
+      falu_time t d env.te_fready fd fa fb 5
   | Pfdiv (fd, fa, fb) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
-      falu t d env.te_fregs env.te_fready fd fa fb ( /. ) 20
+      let fregs = env.te_fregs in
+      fregs.(fd) <- Fbits.canon (fregs.(fa) /. fregs.(fb));
+      falu_time t d env.te_fready fd fa fb 20
   | Pfsqrt (fd, fs) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1473,29 +1466,26 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       env.te_ready.(rd) <- imax d env.te_fready.(fs) + flat_lat;
       complete t env.te_ready.(rd)
   | Pbranch_r (c, r, ro, target) ->
-    let cmp = cond_fn c in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(r) ready.(ro)) in
-      let taken = cmp regs.(r) regs.(ro) in
+      let taken = cond_apply c regs.(r) regs.(ro) in
       branch_resolve t ~opt_id ~pc ~start ~taken;
       env.te_pc <- (if taken then target else next)
   | Pbranch_i (c, r, i, target) ->
-    let cmp = cond_fn c in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let start = imax d env.te_ready.(r) in
-      let taken = cmp env.te_regs.(r) i in
+      let taken = cond_apply c env.te_regs.(r) i in
       branch_resolve t ~opt_id ~pc ~start ~taken;
       env.te_pc <- (if taken then target else next)
   | Pfbranch (c, fa, fb, target) ->
-    let cmp = fcond_fn c in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let fready = env.te_fready in
       let start = imax d (imax fready.(fa) fready.(fb)) in
-      let taken = cmp env.te_fregs.(fa) env.te_fregs.(fb) in
+      let taken = fcond_apply c env.te_fregs.(fa) env.te_fregs.(fb) in
       branch_resolve t ~opt_id ~pc ~start ~taken;
       env.te_pc <- (if taken then target else next)
   | Pjmp target ->
@@ -1507,14 +1497,11 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
     fun env ->
       ignore (tpl_dispatch_k t kind);
       let regs = env.te_regs and ready = env.te_ready in
-      Array.iter
-        (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r))
-        argr;
+      serialize_on t ready argr 0;
       t.slots <- 0;
       charge_rt_i t ~pcost:Profile.cost_call ~cat_idx:cat_other_idx
         ~instrs:cinstrs ~cycles:8;
-      let argv = Array.map (fun r -> regs.(r)) argr in
-      let v = env.te_host.call_fn callee argv in
+      let v = env.te_host.call_fn callee (gather regs argr) in
       if env.te_host.is_invalidated opt_id then begin
         t_osr_trace t f deopt_id;
         t_finish_deopt t env f deopt_id ~result:(Some v)
@@ -1529,13 +1516,10 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
     fun env ->
       ignore (tpl_dispatch_k t kind);
       let regs = env.te_regs and ready = env.te_ready in
-      Array.iter
-        (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r))
-        argr;
+      serialize_on t ready argr 0;
       charge_rt_i t ~pcost:Profile.cost_rt ~cat_idx ~instrs:cinstrs
         ~cycles:ccycles;
-      let argv = Array.map (fun r -> regs.(r)) argr in
-      let v, _ = env.te_host.rt_call rt argv [||] in
+      let v = env.te_host.rt_call rt (gather regs argr) [||] in
       if rd >= 0 then begin
         regs.(rd) <- v;
         ready.(rd) <- t.cycle + 1
@@ -1552,23 +1536,19 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       ignore (tpl_dispatch_k t kind);
       let regs = env.te_regs and ready = env.te_ready in
       let fregs = env.te_fregs and fready = env.te_fready in
-      Array.iter
-        (fun r -> if ready.(r) > t.cycle then t.cycle <- ready.(r))
-        argr;
-      Array.iter
-        (fun r -> if fready.(r) > t.cycle then t.cycle <- fready.(r))
-        fargr;
+      serialize_on t ready argr 0;
+      serialize_on t fready fargr 0;
       charge_rt_i t ~pcost:Profile.cost_rt ~cat_idx ~instrs:cinstrs
         ~cycles:ccycles;
-      let argv = Array.map (fun r -> regs.(r)) argr in
-      let fargv = Array.map (fun r -> fregs.(r)) fargr in
-      let v, fv = env.te_host.rt_call rt argv fargv in
+      let v =
+        env.te_host.rt_call rt (gather regs argr) (gather_f fregs fargr)
+      in
       if rd >= 0 then begin
         regs.(rd) <- v;
         ready.(rd) <- t.cycle + 1
       end;
       if fd >= 0 then begin
-        fregs.(fd) <- fv;
+        fregs.(fd) <- t.rt_fres.(0);
         fready.(fd) <- t.cycle + 1
       end;
       env.te_pc <- next
@@ -1738,16 +1718,30 @@ let compile_template t (f : Lir.func) (pf : Predecode.func) : template option
         tp_block_of_pc = lay.Template.block_of_pc;
       }
 
+let compile_into t (f : Lir.func) (pf : Predecode.func) =
+  let tpl = compile_template t f pf in
+  Hashtbl.replace t.tpl_cache f.Lir.opt_id (pf, tpl);
+  tpl
+
 (** Template for [f], compiling at most once per compilation — same keying
     discipline as {!install}: by [opt_id], with a physical-equality guard
     on the decoded stream covering id reuse. *)
 let install_template t (f : Lir.func) (pf : Predecode.func) =
-  match Hashtbl.find_opt t.tpl_cache f.Lir.opt_id with
-  | Some (pf', tpl) when pf' == pf -> tpl
-  | _ ->
-    let tpl = compile_template t f pf in
-    Hashtbl.replace t.tpl_cache f.Lir.opt_id (pf, tpl);
-    tpl
+  match Hashtbl.find t.tpl_cache f.Lir.opt_id with
+  | pf', tpl when pf' == pf -> tpl
+  | _ -> compile_into t f pf
+  | exception Not_found -> compile_into t f pf
+
+(* Push [env] back on the free stack, growing it when full (the stack is
+   as deep as the deepest guest-call nesting seen so far). *)
+let release_env t env =
+  let n = Array.length t.env_pool in
+  if t.env_free = n then
+    t.env_pool <-
+      Array.init (imax 8 (2 * n)) (fun i ->
+          if i < n then t.env_pool.(i) else env);
+  t.env_pool.(t.env_free) <- env;
+  t.env_free <- t.env_free + 1
 
 (** Templated executor: enter the current leader's block, apply its counter
     summary en bloc, then run the fused steps in order; the terminator (or
@@ -1757,38 +1751,39 @@ let run_templated t (host : host) (f : Lir.func) (tpl : template)
     (args : Value.t array) : Value.t =
   let nr = imax f.Lir.n_regs 1 in
   let nf = imax f.Lir.n_fregs 1 in
-  (* Acquire a pooled environment (guest calls nest, so this is a free
-     list, not a singleton). Pooled register files may be longer than this
+  (* Acquire a pooled environment (guest calls nest, so this is a stack,
+     not a singleton). Pooled register files may be longer than this
      function needs; steps index below [n_regs]/[n_fregs] only, and the
      used prefix is re-initialized to exactly the fresh-allocation state. *)
   let env =
-    match t.env_pool with
-    | e :: rest ->
-        t.env_pool <- rest;
-        if Array.length e.te_regs < nr then begin
-          e.te_regs <- Array.make nr 0;
-          e.te_ready <- Array.make nr 0
-        end;
-        if Array.length e.te_fregs < nf then begin
-          e.te_fregs <- Array.make nf 0.0;
-          e.te_fready <- Array.make nf 0
-        end;
-        e.te_host <- host;
-        e.te_pc <- 0;
-        e.te_running <- true;
-        e.te_res <- 0;
-        e
-    | [] ->
-        {
-          te_host = host;
-          te_regs = Array.make nr 0;
-          te_fregs = Array.make nf 0.0;
-          te_ready = Array.make nr 0;
-          te_fready = Array.make nf 0;
-          te_pc = 0;
-          te_running = true;
-          te_res = 0;
-        }
+    if t.env_free > 0 then begin
+      t.env_free <- t.env_free - 1;
+      let e = t.env_pool.(t.env_free) in
+      if Array.length e.te_regs < nr then begin
+        e.te_regs <- Array.make nr 0;
+        e.te_ready <- Array.make nr 0
+      end;
+      if Array.length e.te_fregs < nf then begin
+        e.te_fregs <- Array.make nf 0.0;
+        e.te_fready <- Array.make nf 0
+      end;
+      e.te_host <- host;
+      e.te_pc <- 0;
+      e.te_running <- true;
+      e.te_res <- 0;
+      e
+    end
+    else
+      {
+        te_host = host;
+        te_regs = Array.make nr 0;
+        te_fregs = Array.make nf 0.0;
+        te_ready = Array.make nr 0;
+        te_fready = Array.make nf 0;
+        te_pc = 0;
+        te_running = true;
+        te_res = 0;
+      }
   in
   let regs = env.te_regs in
   Array.fill regs 0 nr 0;
@@ -1812,7 +1807,7 @@ let run_templated t (host : host) (f : Lir.func) (tpl : template)
     done
   done;
   let res = env.te_res in
-  t.env_pool <- env :: t.env_pool;
+  release_env t env;
   res
 
 (** Execute optimized code [f] on [args] = [this :: params], returning the

@@ -5,8 +5,9 @@
     A research-grade MARSS substitute (DESIGN.md §2).
 
     The executor runs the {!Predecode} stream (decoded once per installed
-    compilation), and the run loop is allocation-free — see
-    lib/machine/README.md. *)
+    compilation); the templated executor allocates nothing per simulated
+    instruction outside guest and runtime calls — see lib/machine/README.md,
+    "Allocation discipline". *)
 
 exception Trap of string
 
@@ -31,8 +32,10 @@ type host = {
       (** deoptimization: resume the interpreter on the code's (shadow)
           bytecode *)
   rt_call :
-    Tce_jit.Lir.rt -> Tce_vm.Value.t array -> float array ->
-    Tce_vm.Value.t * float;
+    Tce_jit.Lir.rt -> Tce_vm.Value.t array -> float array -> Tce_vm.Value.t;
+      (** execute a runtime stub functionally; its double result (the FP
+          result of [Rt_fmod], else the numeric value of the returned
+          [Value.t], 0.0 for non-numbers) goes to the machine's [rt_fres] *)
   on_cc_exception : cc_exn_info -> unit;
       (** misspeculation exception: invalidate the victim opt_ids *)
   on_deopt : int -> unit;  (** a check failed in this opt_id *)
@@ -106,8 +109,13 @@ type t = {
   tpl_cache : (int, Predecode.func * template option) Hashtbl.t;
       (** compiled templates keyed like [pre_cache]; [None] = stream
           rejected by {!Template.layout}, stay on the per-instruction loop *)
-  mutable env_pool : tenv list;
-      (** free list of per-run template environments (register-file reuse) *)
+  mutable env_pool : tenv array;
+      (** stack of free per-run template environments (register-file
+          reuse): [env_pool.(0 .. env_free - 1)] *)
+  mutable env_free : int;
+  rt_fres : float array;
+      (** one-element cell receiving a runtime stub's double result (a
+          [float] returned through {!host} would be boxed) *)
 }
 
 val create :
@@ -126,6 +134,11 @@ val install : t -> Tce_jit.Lir.func -> Predecode.func
 (** Model a fresh allocation as nursery-resident (DESIGN.md §5b): insert its
     lines into the D-caches without cost. *)
 val prefill : t -> addr:int -> bytes:int -> unit
+
+(** [gather regs argr] is the argument vector [regs.(argr.(i))] of a
+    call, built without an [Array.map] closure (shared with the
+    interpreter's call paths). *)
+val gather : Tce_vm.Value.t array -> int array -> Tce_vm.Value.t array
 
 (** Execute optimized code on [this :: params], returning the function
     result (possibly produced by a deoptimized continuation). *)

@@ -43,17 +43,7 @@ let access t addr =
   end
   else begin
     t.stats.misses <- t.stats.misses + 1;
-    let pages = t.pages and lru = t.lru and entries = t.entries in
-    let rec pick i v =
-      if i >= entries then v
-      else if Array.unsafe_get pages i = -1 then pick (i + 1) i
-      else if
-        Array.unsafe_get pages v <> -1
-        && Array.unsafe_get lru i < Array.unsafe_get lru v
-      then pick (i + 1) i
-      else pick (i + 1) v
-    in
-    let victim = pick 0 0 in
+    let victim = Cache.pick t.pages t.lru t.entries 0 0 in
     if t.pages.(victim) <> -1 then
       Tce_support.Int_table.remove t.idx t.pages.(victim);
     t.pages.(victim) <- page;

@@ -46,20 +46,36 @@ let create ?(size = 16) () =
 
 let length t = t.live + (if t.sp1 then 1 else 0) + if t.sp2 then 1 else 0
 
-(* Tail-recursive probe: compiles to a loop with everything in registers.
-   The former [ref]-based loop allocated three ref cells per lookup (classic
-   mode does not unbox local refs), which dominated GC pressure on the TLB
-   fast path. *)
+(* The probe loops are top-level functions with [int]-annotated
+   parameters. A local [let rec] that closes over [keys] / [k] is
+   heap-allocated on every call by the Closure backend (classic, non-flambda
+   [ocamlopt]); an unannotated top-level version generalises to ['a] and
+   compares through [caml_equal]. Both would put allocation or a C call on
+   the TLB and MSHR fast paths. *)
+
+(* Slot holding [k] (> [tomb_k]), or -1 when unbound. *)
+let rec probe (keys : int array) (k : int) (mask : int) (i : int) : int =
+  let kk = Array.unsafe_get keys i in
+  if kk = k then i
+  else if kk = empty_k then -1
+  else probe keys k mask ((i + 1) land mask)
+
+(* Like [probe], but an unbound key answers [-2 - j], where [j] is the slot
+   an insertion takes: the first tombstone on the chain, else the empty slot
+   that ends it. *)
+let rec probe_ins (keys : int array) (k : int) (mask : int) (i : int)
+    (tomb : int) : int =
+  let kk = Array.unsafe_get keys i in
+  if kk = k then i
+  else if kk = empty_k then -2 - (if tomb >= 0 then tomb else i)
+  else
+    probe_ins keys k mask ((i + 1) land mask)
+      (if kk = tomb_k && tomb < 0 then i else tomb)
+
 let find t k default =
   if k > tomb_k then begin
-    let keys = t.keys and vals = t.vals and mask = t.mask in
-    let rec probe i =
-      let kk = Array.unsafe_get keys i in
-      if kk = k then Array.unsafe_get vals i
-      else if kk = empty_k then default
-      else probe ((i + 1) land mask)
-    in
-    probe (hash k mask)
+    let i = probe t.keys k t.mask (hash k t.mask) in
+    if i >= 0 then Array.unsafe_get t.vals i else default
   end
   else if k = empty_k then (if t.sp1 then t.sp1v else default)
   else if t.sp2 then t.sp2v
@@ -73,51 +89,37 @@ let rehash t cap =
   let old_keys = t.keys and old_vals = t.vals in
   let keys = Array.make cap empty_k and vals = Array.make cap 0 in
   let mask = cap - 1 in
-  Array.iteri
-    (fun j k ->
-      if k > tomb_k then begin
-        let i = ref (hash k mask) in
-        while keys.(!i) <> empty_k do
-          i := (!i + 1) land mask
-        done;
-        keys.(!i) <- k;
-        vals.(!i) <- old_vals.(j)
-      end)
-    old_keys;
+  for j = 0 to Array.length old_keys - 1 do
+    let k = old_keys.(j) in
+    if k > tomb_k then begin
+      let i = -2 - probe_ins keys k mask (hash k mask) (-1) in
+      keys.(i) <- k;
+      vals.(i) <- old_vals.(j)
+    end
+  done;
   t.keys <- keys;
   t.vals <- vals;
   t.mask <- mask;
   t.used <- t.live
 
-let set t k v =
-  if k > tomb_k then begin
-    (* keep probe chains short: grow (or sweep tombstones) at 3/4 load *)
-    if 4 * (t.used + 1) > 3 * (t.mask + 1) then
-      rehash t (pow2_at_least (4 * (t.live + 1)));
-    let keys = t.keys and mask = t.mask in
-    let i = ref (hash k mask) in
-    let slot = ref (-1) in
-    let continue = ref true in
-    while !continue do
-      let kk = Array.unsafe_get keys !i in
-      if kk = k then begin
-        t.vals.(!i) <- v;
-        continue := false
-      end
-      else if kk = empty_k then begin
-        let j = if !slot >= 0 then !slot else !i in
-        if !slot < 0 then t.used <- t.used + 1;
-        keys.(j) <- k;
-        t.vals.(j) <- v;
-        t.live <- t.live + 1;
-        continue := false
-      end
-      else begin
-        if kk = tomb_k && !slot < 0 then slot := !i;
-        i := (!i + 1) land mask
-      end
-    done
+(* [set] for a key outside the two sentinels. *)
+let insert t k v =
+  (* keep probe chains short: grow (or sweep tombstones) at 3/4 load *)
+  if 4 * (t.used + 1) > 3 * (t.mask + 1) then
+    rehash t (pow2_at_least (4 * (t.live + 1)));
+  let keys = t.keys and mask = t.mask in
+  let i = probe_ins keys k mask (hash k mask) (-1) in
+  if i >= 0 then t.vals.(i) <- v
+  else begin
+    let j = -2 - i in
+    if keys.(j) = empty_k then t.used <- t.used + 1;
+    keys.(j) <- k;
+    t.vals.(j) <- v;
+    t.live <- t.live + 1
   end
+
+let set t k v =
+  if k > tomb_k then insert t k v
   else if k = empty_k then begin
     t.sp1 <- true;
     t.sp1v <- v
@@ -127,21 +129,21 @@ let set t k v =
     t.sp2v <- v
   end
 
+let incr t k d =
+  if k > tomb_k then begin
+    let i = probe t.keys k t.mask (hash k t.mask) in
+    if i >= 0 then Array.unsafe_set t.vals i (Array.unsafe_get t.vals i + d)
+    else insert t k d
+  end
+  else set t k (find t k 0 + d)
+
 let remove t k =
   if k > tomb_k then begin
-    let keys = t.keys and mask = t.mask in
-    let i = ref (hash k mask) in
-    let continue = ref true in
-    while !continue do
-      let kk = Array.unsafe_get keys !i in
-      if kk = k then begin
-        keys.(!i) <- tomb_k;
-        t.live <- t.live - 1;
-        continue := false
-      end
-      else if kk = empty_k then continue := false
-      else i := (!i + 1) land mask
-    done
+    let i = probe t.keys k t.mask (hash k t.mask) in
+    if i >= 0 then begin
+      t.keys.(i) <- tomb_k;
+      t.live <- t.live - 1
+    end
   end
   else if k = empty_k then t.sp1 <- false
   else t.sp2 <- false

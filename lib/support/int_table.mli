@@ -23,6 +23,11 @@ val mem : t -> int -> bool
 (** [set t k v] binds [k] to [v], replacing any previous binding. *)
 val set : t -> int -> int -> unit
 
+(** [incr t k d] adds [d] to the value bound to [k] (an unbound key counts
+    as 0). One probe when [k] is bound; never allocates unless it grows
+    the table. *)
+val incr : t -> int -> int -> unit
+
 (** [remove t k] drops the binding for [k] (no-op when absent). *)
 val remove : t -> int -> unit
 

@@ -6,7 +6,8 @@
    (b) a spot check of real workloads stays bit-identical to the committed
        results/baseline.json (the full roster is gated by --check);
    (c) the runner's longest-first schedule is the documented permutation
-       and never changes results or their order. *)
+       and never changes results or their order;
+   (d) the optimized tier stays within its host allocation budget. *)
 
 open Tce_jit
 module P = Tce_machine.Predecode
@@ -480,6 +481,54 @@ let test_schedule_preserves_results () =
         (Tce_runner.Record.equal_deterministic a b))
     plain scheduled
 
+(* --- (d) allocation budget of the optimized tier --- *)
+
+(* Host words allocated during the measured bench() call (after the
+   warm-up calls of the harness protocol), per optimized instruction
+   executed in it. Allocation is deterministic for a given binary and
+   input, so the bound can gate. *)
+let words_per_opt_instr name =
+  let w =
+    match Tce_workloads.Workloads.by_name name with
+    | Some w -> w
+    | None -> Alcotest.fail (name ^ " not in the workload registry")
+  in
+  let module E = Tce_engine.Engine in
+  let module Counters = Tce_machine.Counters in
+  let t = E.of_source ~config:E.default_config w.Tce_workloads.Workload.source in
+  E.set_measuring t true;
+  ignore (E.run_main t);
+  for _ = 1 to w.Tce_workloads.Workload.iterations - 1 do
+    ignore (E.call_by_name t "bench" [||])
+  done;
+  let instrs0 = Counters.opt_instrs t.E.counters in
+  let words0 = Gc.minor_words () in
+  ignore (E.call_by_name t "bench" [||]);
+  let words = Gc.minor_words () -. words0 in
+  words /. float_of_int (Counters.opt_instrs t.E.counters - instrs0)
+
+(* Bounds are twice the measured words per optimized instruction. Measured
+   (OCaml 5.1, release profile): richards 19 words over 222,366
+   instructions, access-nbody 37,097 over 261,264 (4 words per
+   [Rt_box_double] stub call: the float argument vector and the boxed
+   argument of [Heap.number]), splay 13 over 540,804. Before the hot
+   loops lost their closures and boxed floats these were 8.79, 12.81 and
+   9.56 words per instruction. *)
+let alloc_budget =
+  [ ("richards", 19. /. 222_366.); ("access-nbody", 37_097. /. 261_264.);
+    ("splay", 13. /. 540_804.) ]
+
+let test_alloc_budget () =
+  List.iter
+    (fun (name, measured) ->
+      let got = words_per_opt_instr name in
+      if got > 2. *. measured then
+        Alcotest.failf
+          "%s: %.6f words per optimized instruction, budget %.6f (2x the \
+           measured %.6f)"
+          name got (2. *. measured) measured)
+    alloc_budget
+
 let () =
   Alcotest.run "fastpath"
     [
@@ -503,5 +552,10 @@ let () =
             test_longest_first_order;
           Alcotest.test_case "schedule preserves results" `Quick
             test_schedule_preserves_results;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "optimized-tier allocation budget" `Slow
+            test_alloc_budget;
         ] );
     ]

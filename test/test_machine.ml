@@ -234,7 +234,7 @@ let stub_host : Machine.host =
   {
     Machine.call_fn = (fun _ _ -> 0);
     resume = (fun ~opt_id:_ ~bc_pc:_ ~regs:_ ~result:_ -> 0);
-    rt_call = (fun _ _ _ -> (0, 0.0));
+    rt_call = (fun _ _ _ -> 0);
     on_cc_exception = (fun _ -> ());
     on_deopt = (fun _ -> ());
     is_invalidated = (fun _ -> false);

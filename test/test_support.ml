@@ -119,6 +119,51 @@ let test_table_bars () =
   (* y gets the full width, x half *)
   Alcotest.(check bool) "has bars" true (String.contains out '#')
 
+let test_int_table_incr () =
+  let t = Int_table.create ~size:8 () in
+  Int_table.incr t 5 1;
+  Int_table.incr t 5 2;
+  Alcotest.(check int) "unbound counts from 0" 3 (Int_table.find t 5 0);
+  (* the two out-of-band sentinel keys *)
+  Int_table.incr t min_int 4;
+  Int_table.incr t (min_int + 1) 6;
+  Int_table.incr t min_int 1;
+  Alcotest.(check int) "empty-slot sentinel key" 5 (Int_table.find t min_int 0);
+  Alcotest.(check int) "tombstone sentinel key" 6
+    (Int_table.find t (min_int + 1) 0);
+  (* enough keys to force rehashes, with removals leaving tombstones on
+     the probe chains *)
+  for k = 0 to 199 do
+    Int_table.incr t (k * 64) k
+  done;
+  for k = 0 to 99 do
+    Int_table.remove t (k * 128)
+  done;
+  for k = 0 to 199 do
+    Int_table.incr t (k * 64) 1
+  done;
+  for k = 0 to 199 do
+    let want = if k mod 2 = 0 then 1 else k + 1 in
+    Alcotest.(check int) (Printf.sprintf "key %d" (k * 64)) want
+      (Int_table.find t (k * 64) 0)
+  done;
+  Alcotest.(check int) "bindings" (200 + 3) (Int_table.length t)
+
+let test_int_table_incr_no_alloc () =
+  let t = Int_table.create ~size:64 () in
+  for k = 0 to 31 do
+    Int_table.set t k 0
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to 10239 do
+    Int_table.incr t (i land 31) 1;
+    ignore (Int_table.find t (i land 63) 0)
+  done;
+  Alcotest.(check (float 0.)) "incr / find on a sized table allocate nothing"
+    0. (Gc.minor_words () -. w0);
+  Alcotest.(check int) "every increment landed" (10240 / 32)
+    (Int_table.find t 7 0)
+
 let () =
   Alcotest.run "support"
     [
@@ -129,6 +174,12 @@ let () =
           Alcotest.test_case "render" `Quick test_bytemap_render;
           QCheck_alcotest.to_alcotest prop_bytemap_set_get;
           QCheck_alcotest.to_alcotest prop_bytemap_popcount;
+        ] );
+      ( "int_table",
+        [
+          Alcotest.test_case "incr" `Quick test_int_table_incr;
+          Alcotest.test_case "incr allocates nothing" `Quick
+            test_int_table_incr_no_alloc;
         ] );
       ( "prng",
         [
