@@ -1,8 +1,10 @@
 (** The optimizing compiler ("Crankshaft" stand-in, paper §3.2/§4.3).
 
     Pipeline: bytecode + type feedback
-      -> forward type/provenance fixpoint over the bytecode CFG
-      -> LIR emission with explicit, categorized check instructions.
+      -> forward type/provenance/constant fixpoint over the basic blocks of
+         the bytecode (input states kept at block leaders only)
+      -> LIR emission with explicit, categorized check instructions, each
+         pc seeing its state replayed from its block's leader.
 
     Check insertion follows V8: property/element accesses are specialized to
     the receiver shapes seen by the inline caches, guarded by Check Map /
@@ -37,15 +39,21 @@ type ty =
   | Null
   | Str
 
+let ty_equal a b =
+  match (a, b) with
+  | Cls x, Cls y -> x = y
+  | Cls _, _ | _, Cls _ -> false
+  | _ -> a == b  (* the other constructors are immediates *)
+
+let is_numeric heapnum_id = function
+  | Smi | Num -> true
+  | Cls c -> c = heapnum_id
+  | _ -> false
+
 let join_ty heapnum_id a b =
-  if a = b then a
-  else
-    let numeric = function
-      | Smi | Num -> true
-      | Cls c -> c = heapnum_id
-      | _ -> false
-    in
-    if numeric a && numeric b then Num else Any
+  if ty_equal a b then a
+  else if is_numeric heapnum_id a && is_numeric heapnum_id b then Num
+  else Any
 
 (* --- compilation environment --- *)
 
@@ -143,48 +151,89 @@ let builtin_ret_ty (b : Builtins.t) : ty =
 
 type cval = C_none | C_int of int | C_float of float
 
+(* Floats compare with IEEE [=], as the structural comparison did: a NaN
+   constant never equals itself and so joins to [C_none]. *)
+let cval_equal a b =
+  match (a, b) with
+  | C_none, C_none -> true
+  | C_int x, C_int y -> x = y
+  | C_float x, C_float y -> x = y
+  | _ -> false
+
 type state = { tys : ty array; fl : bool array; cv : cval array }
+
+(** The state of an unreached pc: every register [Null], no provenance, no
+    constant. *)
+let initial_state nregs =
+  { tys = Array.make nregs Null; fl = Array.make nregs false;
+    cv = Array.make nregs C_none }
 
 let copy_state s = { tys = Array.copy s.tys; fl = Array.copy s.fl; cv = Array.copy s.cv }
 
+let blit_state src dst =
+  let n = Array.length src.tys in
+  Array.blit src.tys 0 dst.tys 0 n;
+  Array.blit src.fl 0 dst.fl 0 n;
+  Array.blit src.cv 0 dst.cv 0 n
+
+let reset_state st =
+  let n = Array.length st.tys in
+  Array.fill st.tys 0 n Null;
+  Array.fill st.fl 0 n false;
+  Array.fill st.cv 0 n C_none
+
+(** Join [b] into [a]; [true] when [a] changed. *)
 let join_state hn (a : state) (b : state) =
   let changed = ref false in
-  Array.iteri
-    (fun i t ->
-      let j = join_ty hn t b.tys.(i) in
-      if j <> t then begin
-        a.tys.(i) <- j;
-        changed := true
-      end;
-      let f = a.fl.(i) || b.fl.(i) in
-      if f <> a.fl.(i) then begin
-        a.fl.(i) <- f;
-        changed := true
-      end;
-      if a.cv.(i) <> b.cv.(i) && a.cv.(i) <> C_none then begin
+  for i = 0 to Array.length a.tys - 1 do
+    let t = a.tys.(i) in
+    let j = join_ty hn t b.tys.(i) in
+    if not (ty_equal j t) then begin
+      a.tys.(i) <- j;
+      changed := true
+    end;
+    if b.fl.(i) && not a.fl.(i) then begin
+      a.fl.(i) <- true;
+      changed := true
+    end;
+    match a.cv.(i) with
+    | C_none -> ()
+    | c ->
+      if not (cval_equal c b.cv.(i)) then begin
         a.cv.(i) <- C_none;
         changed := true
-      end)
-    a.tys;
+      end
+  done;
   !changed
+
+(* Define register [r] with type [ty] (from an object load for [set_fl]).
+   Top level: local closures over the state would be allocated on every
+   [transfer]. *)
+let set st r ty =
+  st.tys.(r) <- ty;
+  st.fl.(r) <- false;
+  st.cv.(r) <- C_none
+
+let set_fl st r ty =
+  st.tys.(r) <- ty;
+  st.fl.(r) <- true;
+  st.cv.(r) <- C_none
 
 (** Abstract transfer of one bytecode op over [st] (in place). Must agree
     exactly with the code generator's decisions below. *)
 let transfer env (st : state) (bc : Bytecode.bc) =
   let fb = env.fn.Bytecode.fb in
-  let set r ty = st.tys.(r) <- ty; st.fl.(r) <- false; st.cv.(r) <- C_none in
-  let set_fl r ty = st.tys.(r) <- ty; st.fl.(r) <- true; st.cv.(r) <- C_none in
   match bc with
   | Bytecode.LoadInt (r, i) ->
-    set r Smi;
+    set st r Smi;
     st.cv.(r) <- C_int i
   | LoadNum (r, x) ->
     (* float literals are interned heap-number constants *)
-    set r (Cls (heapnum_id env));
+    set st r (Cls (heapnum_id env));
     st.cv.(r) <- C_float x
-  | LoadStr (r, _) -> set r Str
-  | LoadBool (r, _) -> set r Bool
-  | LoadNull r -> set r Null
+  | LoadStr (r, _) -> set st r Str
+  | LoadBool (r, _) -> set st r Bool
+  | LoadNull r -> set st r Null
   | Move (d, s) ->
     st.tys.(d) <- st.tys.(s);
     st.fl.(d) <- st.fl.(s);
@@ -192,21 +241,21 @@ let transfer env (st : state) (bc : Bytecode.bc) =
   | BinOp (op, d, _, _, slot) -> (
     let k = Feedback.binop_of fb.(slot) in
     match op with
-    | Tce_minijs.Ast.Lt | Le | Gt | Ge | Eq | Ne -> set d Bool
-    | LAnd | LOr -> set d Any
-    | BitAnd | BitOr | BitXor | Shl | Shr -> set d Smi
-    | Ushr -> set d (match k with Feedback.Bf_smi -> Smi | _ -> Num)
+    | Tce_minijs.Ast.Lt | Le | Gt | Ge | Eq | Ne -> set st d Bool
+    | LAnd | LOr -> set st d Any
+    | BitAnd | BitOr | BitXor | Shl | Shr -> set st d Smi
+    | Ushr -> set st d (match k with Feedback.Bf_smi -> Smi | _ -> Num)
     | Add | Sub | Mul | Div | Mod -> (
       match k with
-      | Feedback.Bf_smi -> set d Smi
-      | Bf_number -> set d Num
-      | Bf_string when op = Tce_minijs.Ast.Add -> set d Str
-      | _ -> set d Any))
+      | Feedback.Bf_smi -> set st d Smi
+      | Bf_number -> set st d Num
+      | Bf_string when op = Tce_minijs.Ast.Add -> set st d Str
+      | _ -> set st d Any))
   | UnOp (op, d, _) -> (
     match op with
-    | Tce_minijs.Ast.Neg -> set d Num
-    | Not -> set d Bool
-    | BitNot -> set d Smi)
+    | Tce_minijs.Ast.Neg -> set st d Num
+    | Not -> set st d Bool
+    | BitNot -> set st d Smi)
   | GetProp (d, o, _, slot) -> (
     match Feedback.prop_of fb.(slot) with
     | Feedback.Ic_mono { classid; slot = s; _ } -> (
@@ -214,8 +263,8 @@ let transfer env (st : state) (bc : Bytecode.bc) =
          (flow-sensitive check elimination, like Crankshaft's) *)
       st.tys.(o) <- Cls classid;
       match prop_load_ty env ~classid ~slot:s with
-      | Some ty, _ -> set_fl d ty
-      | None, _ -> set_fl d Any)
+      | Some ty, _ -> set_fl st d ty
+      | None, _ -> set_fl st d Any)
     | Ic_poly shapes -> (
       (* typed only if every shape agrees *)
       let tys =
@@ -224,20 +273,20 @@ let transfer env (st : state) (bc : Bytecode.bc) =
           shapes
       in
       match tys with
-      | Some t0 :: rest when List.for_all (( = ) (Some t0)) rest -> set_fl d t0
-      | _ -> set_fl d Any)
-    | _ -> set_fl d Any)
+      | Some t0 :: rest when List.for_all (( = ) (Some t0)) rest -> set_fl st d t0
+      | _ -> set_fl st d Any)
+    | _ -> set_fl st d Any)
   | GetElem (d, o, i, slot) -> (
     match Feedback.elem_of fb.(slot) with
     | Feedback.Eic_mono classid -> (
       st.tys.(o) <- Cls classid;
-      if st.tys.(i) <> Smi then st.tys.(i) <- Smi;  (* index guard *)
+      st.tys.(i) <- Smi;  (* index guard *)
       match elem_load_ty env ~classid with
-      | `Smi -> set_fl d Smi
-      | `Double -> set_fl d Num
-      | `Tagged (Some ty, _) -> set_fl d ty
-      | `Tagged (None, _) | `No_elements -> set_fl d Any)
-    | _ -> set_fl d Any)
+      | `Smi -> set_fl st d Smi
+      | `Double -> set_fl st d Num
+      | `Tagged (Some ty, _) -> set_fl st d ty
+      | `Tagged (None, _) | `No_elements -> set_fl st d Any)
+    | _ -> set_fl st d Any)
   | SetProp (o, _, _, slot) -> (
     (* the emitted Check Map refines the receiver; a transitioning store
        additionally changes the receiver's class *)
@@ -250,101 +299,172 @@ let transfer env (st : state) (bc : Bytecode.bc) =
     match Feedback.elem_of fb.(slot) with
     | Feedback.Eic_mono classid ->
       st.tys.(o) <- Cls classid;
-      if st.tys.(i) <> Smi then st.tys.(i) <- Smi
+      st.tys.(i) <- Smi
     | _ -> ())
   | NewObject d ->
-    set d
+    set st d
       (Cls (Hidden_class.Registry.object_root_class env.heap.Heap.reg).Hidden_class.id)
   | NewArray (d, _) ->
-    set d
+    set st d
       (Cls
          (Hidden_class.Registry.array_class env.heap.Heap.reg Hidden_class.E_smi)
            .Hidden_class.id)
-  | GetGlobal (d, _) -> set d Any
+  | GetGlobal (d, _) -> set st d Any
   | SetGlobal _ -> ()
   | AllocCtor (d, fid) -> (
     match env.prog.Bytecode.funcs.(fid).Bytecode.base_class with
-    | Some base -> set d (Cls base.Hidden_class.id)
-    | None -> set d Any)
-  | Call (d, _, _) | New (d, _, _) -> set d Any
-  | CallB (d, b, _) -> set d (builtin_ret_ty b)
+    | Some base -> set st d (Cls base.Hidden_class.id)
+    | None -> set st d Any)
+  | Call (d, _, _) | New (d, _, _) -> set st d Any
+  | CallB (d, b, _) -> set st d (builtin_ret_ty b)
   | Jump _ | JumpIfFalse _ | JumpIfTrue _ | Return _ -> ()
 
-(** Successors of the op at [pc]. *)
-let succs (code : Bytecode.bc array) pc =
-  match code.(pc) with
-  | Bytecode.Jump l -> [ l ]
-  | JumpIfFalse (_, l) | JumpIfTrue (_, l) -> [ pc + 1; l ]
-  | Return _ -> []
-  | _ -> [ pc + 1 ]
+(* --- block-level fixpoint --- *)
 
-(** Compute the per-pc input states. *)
-let fixpoint env : state array =
+(* Input states live only at basic-block leaders: pc 0, every jump target
+   and the pc after each jump or return. Inside a block every pc has the
+   previous pc as its only predecessor, so its input state is the block's
+   entry state replayed through [transfer]. *)
+type flow = {
+  leader : bool array;
+  entry : state array;  (** leader pc -> input state, when [reached] *)
+  reached : bool array;  (** per leader pc *)
+  run : state;  (** the running state the replays mutate *)
+}
+
+let leaders (code : Bytecode.bc array) =
+  let n = Array.length code in
+  let leader = Array.make n false in
+  let mark pc = if pc < n then leader.(pc) <- true in
+  mark 0;
+  Array.iteri
+    (fun pc bc ->
+      match bc with
+      | Bytecode.Jump l | JumpIfFalse (_, l) | JumpIfTrue (_, l) ->
+        mark l;
+        mark (pc + 1)
+      | Return _ -> mark (pc + 1)
+      | _ -> ())
+    code;
+  leader
+
+(** Run the forward type/provenance/constant dataflow to its fixpoint over
+    basic blocks. The transfer is monotone over the join, so the fixpoint
+    (and hence the emitted code) does not depend on the visit order. *)
+let fixpoint env : flow =
   let fn = env.fn in
-  let n = Array.length fn.Bytecode.code in
+  let code = fn.Bytecode.code in
+  let n = Array.length code in
   let nregs = fn.Bytecode.n_regs in
   let hn = heapnum_id env in
-  let mk () =
-    { tys = Array.make nregs Null; fl = Array.make nregs false;
-      cv = Array.make nregs C_none }
-  in
-  let states = Array.init n (fun _ -> mk ()) in
+  let leader = leaders code in
+  let run = initial_state nregs in
+  let entry = Array.make n run in
   let reached = Array.make n false in
-  (* entry: this + params are Any, locals start as null *)
-  for i = 0 to min fn.Bytecode.n_params (nregs - 1) do
-    states.(0).tys.(i) <- Any
+  let pending = Array.make n false in
+  let again = ref (n > 0) in
+  if n > 0 then begin
+    (* entry: this + params are Any, locals start as null *)
+    let st0 = initial_state nregs in
+    for i = 0 to min fn.Bytecode.n_params (nregs - 1) do
+      st0.tys.(i) <- Any
+    done;
+    entry.(0) <- st0;
+    reached.(0) <- true;
+    pending.(0) <- true
+  end;
+  let flow_to pc =
+    if pc < n then
+      if not reached.(pc) then begin
+        reached.(pc) <- true;
+        entry.(pc) <- copy_state run;
+        pending.(pc) <- true;
+        again := true
+      end
+      else if join_state hn entry.(pc) run then begin
+        pending.(pc) <- true;
+        again := true
+      end
+  in
+  (* sweep the blocks in pc order until nothing changes: forward edges
+     settle within a sweep, each loop's backedge costs one more *)
+  while !again do
+    again := false;
+    for start = 0 to n - 1 do
+      if pending.(start) then begin
+        pending.(start) <- false;
+        blit_state entry.(start) run;
+        let last = ref start in
+        transfer env run code.(start);
+        while !last + 1 < n && not leader.(!last + 1) do
+          incr last;
+          transfer env run code.(!last)
+        done;
+        match code.(!last) with
+        | Bytecode.Jump l -> flow_to l
+        | JumpIfFalse (_, l) | JumpIfTrue (_, l) ->
+          flow_to (!last + 1);
+          flow_to l
+        | Return _ -> ()
+        | _ -> flow_to (!last + 1)
+      end
+    done
   done;
-  reached.(0) <- true;
-  let work = Queue.create () in
-  Queue.push 0 work;
-  while not (Queue.is_empty work) do
-    let pc = Queue.pop work in
-    let out = copy_state states.(pc) in
-    transfer env out fn.Bytecode.code.(pc);
-    List.iter
-      (fun s ->
-        if s < n then
-          if not reached.(s) then begin
-            reached.(s) <- true;
-            Array.blit out.tys 0 states.(s).tys 0 nregs;
-            Array.blit out.fl 0 states.(s).fl 0 nregs;
-            Array.blit out.cv 0 states.(s).cv 0 nregs;
-            Queue.push s work
-          end
-          else if join_state hn states.(s) out then Queue.push s work)
-      (succs fn.Bytecode.code pc)
-  done;
-  states
+  { leader; entry; reached; run }
+
+(** Visit every pc in order with its fixpoint input state ([before]) and
+    output state ([after]), replaying each block from its entry state in
+    [flow.run]. Unreached pcs see the initial all-[Null] state. The state
+    passed is only valid during the call. *)
+let iter_states env flow ~before ~after =
+  let code = env.fn.Bytecode.code in
+  let st = flow.run in
+  let reached = ref false in
+  for pc = 0 to Array.length code - 1 do
+    if flow.leader.(pc) then begin
+      reached := flow.reached.(pc);
+      if !reached then blit_state flow.entry.(pc) st
+    end;
+    if not !reached then reset_state st;
+    before pc st;
+    transfer env st code.(pc);
+    after pc st
+  done
 
 (** Static representation of each bytecode register: unboxed double iff
     every def is a double-typed value or an integer literal (materialized
-    as an immediate double), with at least one double def. *)
-let assign_reprs env (states : state array) : Lir.repr array =
+    as an immediate double), with at least one double def. Also returns,
+    per pc, the input type of a [SetElem]'s value register (for
+    {!compute_hoists}). *)
+let assign_reprs env flow : Lir.repr array * ty array =
   let fn = env.fn in
+  let code = fn.Bytecode.code in
   let nregs = fn.Bytecode.n_regs in
   let reprs = Array.make nregs Lir.R_tagged in
   let ok = Array.make nregs true in
   let has_dbl = Array.make nregs false in
+  let store_tys = Array.make (Array.length code) Any in
   let hn = heapnum_id env in
-  Array.iteri
-    (fun pc bc ->
-      match Bytecode.def_reg bc with
-      | Some d -> (
-        match bc with
-        | Bytecode.LoadInt _ -> ()  (* immediate: FMovImm in a double reg *)
-        | _ ->
-          let out = copy_state states.(pc) in
-          transfer env out bc;
-          (match out.tys.(d) with
+  iter_states env flow
+    ~before:(fun pc st ->
+      match code.(pc) with
+      | Bytecode.SetElem (_, _, v, _) -> store_tys.(pc) <- st.tys.(v)
+      | _ -> ())
+    ~after:(fun pc st ->
+      match code.(pc) with
+      | Bytecode.LoadInt _ -> ()  (* immediate: FMovImm in a double reg *)
+      | bc -> (
+        match Bytecode.def_reg bc with
+        | Some d -> (
+          match st.tys.(d) with
           | Num -> has_dbl.(d) <- true
           | Cls c when c = hn -> has_dbl.(d) <- true
-          | _ -> ok.(d) <- false))
-      | None -> ())
-    fn.Bytecode.code;
+          | _ -> ok.(d) <- false)
+        | None -> ()));
   for r = fn.Bytecode.n_params + 1 to nregs - 1 do
     if ok.(r) && has_dbl.(r) then reprs.(r) <- Lir.R_double
   done;
-  reprs
+  (reprs, store_tys)
 
 (* --- code generation --- *)
 
@@ -352,7 +472,6 @@ type fixup = F_bc of int | F_deopt of int
 
 type gen = {
   genv : env;
-  states : state array;
   reprs : Lir.repr array;
   n_bc : int;  (** bytecode register count; LIR regs/fregs 0..n_bc-1 mirror them *)
   mutable out : Lir.inst array;
@@ -611,35 +730,26 @@ let raw_int_loc g (st : state) r ~bc_pc : Lir.reg =
   end
 
 (** Write a tagged value in [src] into bc reg [d], honoring [d]'s repr. *)
-let def_from_tagged g (st : state) d src ~bc_pc =
+let def_from_tagged g d src ~bc_pc =
   if g.reprs.(d) = Lir.R_tagged then begin
     if src <> d then ignore (emit g Categories.C_other (Lir.Mov (d, src)))
   end
   else begin
-    (* d is double-repr; src must be numeric *)
-    let st' = copy_state st in
-    if src < g.n_bc then ()
-    else begin
-      (* scratch source: give it a conservative numeric type *)
-      ignore bc_pc
-    end;
-    ignore st';
-    (* untag via the generic diamond on a pseudo state: treat as Num *)
-    let fd = d in
-    let did =
-      mk_deopt g ~reason:(Reason.make Reason.K_untag Reason.C_not_heapnum ~pc:bc_pc)
-        ~bc_pc ~result_into:None
-    in
-    ignore did;
+    (* d is double-repr, src must be numeric: untag via the generic
+       diamond. The deopt entry is reserved (it keeps the deopt numbering)
+       though no branch of the diamond targets it. *)
+    ignore
+      (mk_deopt g ~reason:(Reason.make Reason.K_untag Reason.C_not_heapnum ~pc:bc_pc)
+         ~bc_pc ~result_into:None);
     let bheap =
       emit g Categories.C_taguntag (Lir.Branch (Lir.Bit_set, src, Lir.Imm 1, -1))
     in
     let s = scratch g in
     ignore (emit g Categories.C_taguntag (Lir.Alu (Lir.Sar, s, src, Lir.Imm 1)));
-    ignore (emit g Categories.C_taguntag (Lir.CvtIF (fd, s)));
+    ignore (emit g Categories.C_taguntag (Lir.CvtIF (d, s)));
     let bend = emit g Categories.C_other (Lir.Jmp (-1)) in
     land_here g bheap;
-    ignore (emit g Categories.C_taguntag (Lir.FLoad (fd, src, 7)));
+    ignore (emit g Categories.C_taguntag (Lir.FLoad (d, src, 7)));
     land_here g bend
   end
 
@@ -810,7 +920,7 @@ let materialized_compare g (st : state) op d a b slot ~bc_pc =
 (** Find call-free loops whose elements stores have a loop-invariant
     receiver, and assign up to three of the four regArrayObjectClassId
     registers to them (k = 3 stays free for unhoisted stores). *)
-let compute_hoists env (states : state array) hoist_headers hoist_sites =
+let compute_hoists env (store_tys : ty array) hoist_headers hoist_sites =
   if env.mechanism && env.hoisting then begin
     let code = env.fn.Bytecode.code in
     let fb = env.fn.Bytecode.fb in
@@ -846,7 +956,7 @@ let compute_hoists env (states : state array) hoist_headers hoist_sites =
         if call_free then
           for pc = t to min s (n - 1) do
             match code.(pc) with
-            | Bytecode.SetElem (o, _, v, slot)
+            | Bytecode.SetElem (o, _, _, slot)
               when (not (Hashtbl.mem hoist_sites pc)) && !k_next < 3 -> (
               match Feedback.elem_of fb.(slot) with
               | Feedback.Eic_mono classid
@@ -862,7 +972,7 @@ let compute_hoists env (states : state array) hoist_headers hoist_sites =
                                 ~pos:Layout.elements_ptr_slot
                         with
                        | Some p -> (
-                         match states.(pc).tys.(v) with
+                         match store_tys.(pc) with
                          | Smi -> p = Layout.smi_classid
                          | Cls c -> p = c
                          | _ -> false)
@@ -1324,8 +1434,7 @@ let gen_op g pc (bc : Bytecode.bc) (st : state) ~(skip_next : bool ref) =
           ignore (emit g Categories.C_taguntag (Lir.FLoad (d, sv, 7)))
         | _ ->
           (* untag via generic path *)
-          let st' = copy_state st in
-          def_from_tagged g st' d sv ~bc_pc:pc
+          def_from_tagged g d sv ~bc_pc:pc
       end
       else ignore (emit g Categories.C_other (Lir.Load (d, o, (s * 8) - 1)))
     | Ic_poly shapes
@@ -1378,8 +1487,7 @@ let gen_op g pc (bc : Bytecode.bc) (st : state) ~(skip_next : bool ref) =
         shapes;
       ignore (emit g Categories.C_other (Lir.Load (d, o, (s * 8) - 1)));
       if g.reprs.(d) = Lir.R_double then begin
-        let st' = copy_state st in
-        def_from_tagged g st' d d ~bc_pc:pc
+        def_from_tagged g d d ~bc_pc:pc
       end
     | Ic_poly _ | Ic_mega ->
       attr_site g ~pc ~kind:Categories.Ck_map ~note:"generic property load"
@@ -1389,8 +1497,7 @@ let gen_op g pc (bc : Bytecode.bc) (st : state) ~(skip_next : bool ref) =
         (emit g Categories.C_other
            (Lir.CallRt (Lir.Rt_generic_get_prop name, [| to_ |], [||], Some d, None)));
       if g.reprs.(d) = Lir.R_double then begin
-        let st' = copy_state st in
-        def_from_tagged g st' d d ~bc_pc:pc
+        def_from_tagged g d d ~bc_pc:pc
       end
     | Ic_uninit ->
       attr_site g ~pc ~kind:Categories.Ck_map ~note:"property load never executed"
@@ -1443,8 +1550,7 @@ let gen_op g pc (bc : Bytecode.bc) (st : state) ~(skip_next : bool ref) =
           | Some (Cls c) when c = heapnum_id env ->
             ignore (emit g Categories.C_taguntag (Lir.FLoad (d, sv, 7)))
           | _ ->
-            let st' = copy_state st in
-            def_from_tagged g st' d sv ~bc_pc:pc
+            def_from_tagged g d sv ~bc_pc:pc
         end
         else
           ignore (emit g Categories.C_other (Lir.LoadIdx (d, elems, ri, elements_off))))
@@ -1466,8 +1572,7 @@ let gen_op g pc (bc : Bytecode.bc) (st : state) ~(skip_next : bool ref) =
         (emit g Categories.C_other
            (Lir.CallRt (Lir.Rt_generic_get_elem, [| to_; ti |], [||], Some d, None)));
       if g.reprs.(d) = Lir.R_double then begin
-        let st' = copy_state st in
-        def_from_tagged g st' d d ~bc_pc:pc
+        def_from_tagged g d d ~bc_pc:pc
       end)
   | SetProp (o, name, v, slot) -> (
     match Feedback.prop_of fb.(slot) with
@@ -1701,8 +1806,7 @@ let gen_op g pc (bc : Bytecode.bc) (st : state) ~(skip_next : bool ref) =
     if g.reprs.(d) = Lir.R_double then begin
       let sv = scratch g in
       ignore (emit g Categories.C_other (Lir.Load (sv, s, 0)));
-      let st' = copy_state st in
-      def_from_tagged g st' d sv ~bc_pc:pc
+      def_from_tagged g d sv ~bc_pc:pc
     end
     else ignore (emit g Categories.C_other (Lir.Load (d, s, 0)))
   | SetGlobal (i, r) ->
@@ -1746,8 +1850,7 @@ let gen_op g pc (bc : Bytecode.bc) (st : state) ~(skip_next : bool ref) =
     let dd = if g.reprs.(d) = Lir.R_double then scratch g else d in
     ignore (emit g Categories.C_other (Lir.CallFn (fid, argr, dd, did)));
     if g.reprs.(d) = Lir.R_double then begin
-      let st' = copy_state st in
-      def_from_tagged g st' d dd ~bc_pc:pc
+      def_from_tagged g d dd ~bc_pc:pc
     end
   | CallB (d, b, args) -> (
     match b with
@@ -1790,8 +1893,7 @@ let gen_op g pc (bc : Bytecode.bc) (st : state) ~(skip_next : bool ref) =
         (emit g Categories.C_other
            (Lir.CallRt (Lir.Rt_builtin b, argr, [||], Some dd, None)));
       if g.reprs.(d) = Lir.R_double then begin
-        let st' = copy_state st in
-        def_from_tagged g st' d dd ~bc_pc:pc
+        def_from_tagged g d dd ~bc_pc:pc
       end)
   | New (d, fid, args) -> (
     let callee = env.prog.Bytecode.funcs.(fid) in
@@ -1833,13 +1935,13 @@ let gen_op g pc (bc : Bytecode.bc) (st : state) ~(skip_next : bool ref) =
     usefully compiled. *)
 let compile (env : env) : Lir.func =
   let fn = env.fn in
-  let states = fixpoint env in
-  let reprs = assign_reprs env states in
-  let n = Array.length fn.Bytecode.code in
+  let code = fn.Bytecode.code in
+  let flow = fixpoint env in
+  let reprs, store_tys = assign_reprs env flow in
+  let n = Array.length code in
   let g =
     {
       genv = env;
-      states;
       reprs;
       n_bc = fn.Bytecode.n_regs;
       out = Array.make 256 (Lir.inst Categories.C_other (Lir.Jmp 0));
@@ -1857,25 +1959,24 @@ let compile (env : env) : Lir.func =
       hoist_sites = Hashtbl.create 8;
     }
   in
-  compute_hoists env states g.hoist_headers g.hoist_sites;
+  compute_hoists env store_tys g.hoist_headers g.hoist_sites;
   let skip_next = ref false in
-  for pc = 0 to n - 1 do
-    (* loop-entry hoists land *before* the header label so the backedge
-       does not re-execute them *)
-    (match Hashtbl.find_opt g.hoist_headers pc with
-    | Some hoists ->
-      List.iter
-        (fun (k, recv) ->
-          ignore (emit g Categories.C_ccop (Lir.MovClassIDArray (k, recv))))
-        hoists
-    | None -> ());
-    g.bc2lir.(pc) <- g.n;
-    if !skip_next then skip_next := false
-    else begin
-      reset_scratch g;
-      gen_op g pc fn.Bytecode.code.(pc) states.(pc) ~skip_next
-    end
-  done;
+  iter_states env flow ~after:(fun _ _ -> ()) ~before:(fun pc st ->
+      (* loop-entry hoists land *before* the header label so the backedge
+         does not re-execute them *)
+      (match Hashtbl.find_opt g.hoist_headers pc with
+      | Some hoists ->
+        List.iter
+          (fun (k, recv) ->
+            ignore (emit g Categories.C_ccop (Lir.MovClassIDArray (k, recv))))
+          hoists
+      | None -> ());
+      g.bc2lir.(pc) <- g.n;
+      if !skip_next then skip_next := false
+      else begin
+        reset_scratch g;
+        gen_op g pc code.(pc) st ~skip_next
+      end);
   g.bc2lir.(n) <- g.n;
   (* deopt landing pads *)
   let deopt_base = g.n in

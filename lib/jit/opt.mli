@@ -1,7 +1,19 @@
 (** The optimizing compiler ("Crankshaft" stand-in, paper §3.2/§4.3):
     bytecode + inline-cache feedback
-    -> forward type/provenance/constant fixpoint over the bytecode CFG
+    -> forward type/provenance/constant fixpoint over the bytecode's basic
+       blocks
     -> LIR with explicit, categorized check instructions.
+
+    The dataflow keeps one input state (type, object-load provenance and
+    known constant per register) per basic-block leader: pc 0, every jump
+    target and the pc after each jump or return. A worklist over blocks
+    replays each block through the transfer function on one running state
+    and joins the result into its successors' leader states. Register
+    representations, loop hoisting and code generation then walk the pcs in
+    order, replaying each block from its leader state; pcs the fixpoint
+    never reaches see the initial all-[Null] state. The transfer is
+    monotone, so the fixpoint (and the emitted code) does not depend on the
+    visit order.
 
     With the mechanism enabled, the Class List is consulted: loads from
     profiled-monomorphic slots produce *typed* values, so downstream

@@ -309,6 +309,222 @@ function bench() {
   (* the single permitted box is the tagged return of the accumulator *)
   Alcotest.(check bool) "no boxing in the float loop" true (boxes <= 1)
 
+(* --- pinned compiler output --- *)
+
+(* Every function the engine compiles while running [source] the way the
+   harness does (top level, then [iterations] bench() calls), in
+   compilation order. *)
+let compiled_funcs ~mechanism ~iterations source =
+  let config = { E.default_config with E.mechanism } in
+  let t = E.of_source ~config source in
+  E.set_measuring t true;
+  ignore (E.run_main t);
+  for _ = 1 to iterations do
+    ignore (E.call_by_name t "bench" [||])
+  done;
+  Hashtbl.fold (fun _ f acc -> f :: acc) t.E.opt_table []
+  |> List.sort (fun (a : Lir.func) b -> compare a.Lir.opt_id b.Lir.opt_id)
+
+(* Everything the optimizer decides for one compiled function: the
+   printed code, then what the printer leaves out (flags, runtime-call
+   payloads, float conditions), the deopt table, the register
+   representations and the speculation dependencies. *)
+let render_func buf (f : Lir.func) =
+  Buffer.add_string buf (Fmt.str "%a" Lir.pp_func f);
+  Buffer.add_string buf
+    (Digest.to_hex (Digest.string (Marshal.to_string f.Lir.code [ Marshal.No_sharing ])));
+  Array.iter
+    (fun (d : Lir.deopt_info) ->
+      Printf.bprintf buf "\ndeopt %d %s %s" d.Lir.bc_pc
+        (match d.Lir.result_into with Some r -> string_of_int r | None -> "-")
+        (Tce_attr.Reason.to_string d.Lir.reason))
+    f.Lir.deopts;
+  Buffer.add_string buf "\nreprs ";
+  Array.iter
+    (fun r -> Buffer.add_char buf (match r with Lir.R_tagged -> 't' | R_double -> 'd'))
+    f.Lir.reprs;
+  List.iter (fun (c, l, p) -> Printf.bprintf buf "\ndep %d:%d:%d" c l p) f.Lir.spec_deps;
+  Printf.bprintf buf "\nregs %d fregs %d\n" f.Lir.n_regs f.Lir.n_fregs
+
+let lir_digest ~mechanism ~iterations source =
+  let buf = Buffer.create 65536 in
+  List.iter (render_func buf) (compiled_funcs ~mechanism ~iterations source);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Control-flow shapes the roster does not pin down on its own: code after
+   a return (never reached, so it is compiled against the all-null entry
+   state), a conditional jump to the implicit return at the end of the
+   function, a loop whose header is pc 0, and a modulus whose constant
+   divisor differs between the loop entry and the backedge (so the join
+   must drop it). *)
+let shapes_src =
+  {|
+function dead(x) {
+  var y = x + 1;
+  return y;
+  var z = 2.5;
+  y = y * z;
+  return y + z;
+}
+function tail(x) {
+  if (x > 5) { return x - 5; }
+}
+function spin(n) {
+  while (n > 0) { n = n - 3; }
+  return n;
+}
+function modk(n) {
+  var m = 8;
+  var s = 0;
+  for (var i = 0; i < n; i++) { s = s + i % m; m = 5; }
+  return s;
+}
+function bench() {
+  var s = 0;
+  for (var i = 0; i < 60; i++) {
+    var t = tail(i & 7);
+    if (t != null) { s = s + t; }
+    s = (s + dead(i) + spin(i & 15) + modk(i & 15)) & 65535;
+  }
+  return s;
+}
+|}
+
+let test_shapes_are_exercised () =
+  let p = compile shapes_src in
+  let code name = (Option.get (Bytecode.find_func p name)).Bytecode.code in
+  let targets c =
+    Array.to_list c
+    |> List.filter_map (function
+         | Bytecode.Jump l | JumpIfFalse (_, l) | JumpIfTrue (_, l) -> Some l
+         | _ -> None)
+  in
+  let dead = code "dead" in
+  Alcotest.(check bool) "dead: a return precedes more code, nothing jumps" true
+    (Array.exists
+       (function Bytecode.Return _ -> true | _ -> false)
+       (Array.sub dead 0 (Array.length dead - 1))
+    && targets dead = []);
+  let tail = code "tail" in
+  Alcotest.(check bool) "tail: a jump lands on the implicit return" true
+    (List.mem (Array.length tail - 2) (targets tail));
+  Alcotest.(check bool) "spin: the loop header is pc 0" true
+    (List.mem 0 (targets (code "spin")))
+
+let pinned_roster =
+  [ "deopt-storm"; "math-spectral-norm"; "ai-astar"; "date-format-tofte";
+    "raytrace"; "richards"; "crypto"; "access-fannkuch"; "earley-boyer";
+    "audio-fft" ]
+
+(* MD5 of [render_func] over every function compiled per program and
+   mechanism setting, recorded before the forward dataflow moved from
+   per-pc to per-basic-block states: the rewrite changed no emitted
+   instruction, deopt, representation or dependency. A deliberate change
+   to code generation re-records them from the failure's "Received"
+   list. *)
+let pinned_digests =
+  [
+    ("shapes/off", "d0814d9c5a34dce79015cf285d7f6f22");
+    ("shapes/on", "d0814d9c5a34dce79015cf285d7f6f22");
+    ("deopt-storm/off", "7661add1641720bb888973d8800b0953");
+    ("deopt-storm/on", "15af9dedd0dc3fc41e408f74e56aa48a");
+    ("math-spectral-norm/off", "06d1e37239574916e0feda733f01f859");
+    ("math-spectral-norm/on", "0f25233c609f2ab238f406ae23ada46e");
+    ("ai-astar/off", "ddb2ea0c798fcaef72cd2bcc0148d1bf");
+    ("ai-astar/on", "22537da062ba38adc1dd090fa4802c98");
+    ("date-format-tofte/off", "7e62b331bb8f821fd9aba43ed28e79a7");
+    ("date-format-tofte/on", "bb19d591ee4666ab8aac8d180fdd6e72");
+    ("raytrace/off", "6a5653f90d7609d758665925ed8cb521");
+    ("raytrace/on", "bb2940024eb224df8bb5ed499a3e9994");
+    ("richards/off", "a9401787fed85b93dce3e3ce77d6a638");
+    ("richards/on", "87206f67ead43ca4ba56991d9aca9f89");
+    ("crypto/off", "ffe021bdf47a757dc0e5823228cef7ae");
+    ("crypto/on", "6791fe81d27d2e8f31b21d0218652c73");
+    ("access-fannkuch/off", "3bf4778de7a713941c4971b10d1a1bd7");
+    ("access-fannkuch/on", "f7ff2a1fc3519b00d9abe67567f3c706");
+    ("earley-boyer/off", "fd5c6d6d2b506ce5c711a026b7d12f5f");
+    ("earley-boyer/on", "41ad9e8c7976bac9d923f8ea61d1bdbe");
+    ("audio-fft/off", "cf850769e85af3cc7198193621c9ea16");
+    ("audio-fft/on", "efbeb80ea74daf48d0e368ea654afc82");
+  ]
+
+let test_pinned_lir () =
+  let programs =
+    ("shapes", shapes_src, 10)
+    :: List.map
+         (fun name ->
+           match Tce_workloads.Workloads.by_name name with
+           | Some w ->
+             (name, w.Tce_workloads.Workload.source, w.Tce_workloads.Workload.iterations)
+           | None -> Alcotest.failf "%s not in the workload registry" name)
+         pinned_roster
+  in
+  let got =
+    List.concat_map
+      (fun (name, src, iterations) ->
+        List.map
+          (fun mechanism ->
+            ( Printf.sprintf "%s/%s" name (if mechanism then "on" else "off"),
+              lir_digest ~mechanism ~iterations src ))
+          [ false; true ])
+      programs
+  in
+  Alcotest.(check (list (pair string string))) "LIR digests" pinned_digests got
+
+(* --- allocation of the optimizing compiler --- *)
+
+(* Words allocated (minor heap plus direct major-heap allocation) by one
+   [Opt.compile] of the largest inlined shadow in the roster, that of
+   math-spectral-norm (256 bytecodes, 208 registers), per LIR instruction
+   emitted. The compile is replayed on the finished engine, so the Class
+   List state and the result are fixed. *)
+let compile_words_per_lir () =
+  let w = Option.get (Tce_workloads.Workloads.by_name "math-spectral-norm") in
+  let t = E.of_source ~config:E.default_config w.Tce_workloads.Workload.source in
+  ignore (E.run_main t);
+  for _ = 1 to w.Tce_workloads.Workload.iterations do
+    ignore (E.call_by_name t "bench" [||])
+  done;
+  let opt_id, fn =
+    Hashtbl.fold
+      (fun id (f : Bytecode.func) (bid, (best : Bytecode.func)) ->
+        if Array.length f.Bytecode.code > Array.length best.Bytecode.code then (id, f)
+        else (bid, best))
+      t.E.shadow_table (-1, t.E.prog.Bytecode.funcs.(t.E.prog.Bytecode.main))
+  in
+  let env =
+    {
+      Opt.prog = t.E.prog; heap = t.E.heap; cl = t.E.cl;
+      mechanism = E.default_config.E.mechanism;
+      hoisting = E.default_config.E.hoisting;
+      checked_load = E.default_config.E.checked_load; fn; opt_id; code_addr = 0;
+      globals_base = t.E.globals_base; attr = Tce_attr.Ledger.null;
+    }
+  in
+  let words () =
+    let minor = Gc.minor_words () in
+    let _, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let code = Opt.compile env in
+  let words = words () -. w0 in
+  (Array.length fn.Bytecode.code, words /. float_of_int (Array.length code.Lir.code))
+
+(* Measured (OCaml 5.1, release profile): 80.9 words per LIR instruction.
+   With a dense state per pc (three arrays of [n_regs] each, copied on
+   every worklist visit) it was 2662.8. The bound is twice the measured
+   value. *)
+let compile_words_measured = 80.9
+
+let test_compile_alloc () =
+  let n_bc, got = compile_words_per_lir () in
+  if got > 2. *. compile_words_measured then
+    Alcotest.failf
+      "Opt.compile of a %d-bytecode shadow: %.1f words per LIR instruction, \
+       bound %.1f (2x the measured %.1f)"
+      n_bc got (2. *. compile_words_measured) compile_words_measured
+
 let () =
   Alcotest.run "jit"
     [
@@ -343,5 +559,13 @@ let () =
           Alcotest.test_case "strength reduction" `Quick test_opt_strength_reduction;
           Alcotest.test_case "unboxed float locals" `Quick
             test_opt_unboxed_float_locals;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "control-flow shapes are exercised" `Quick
+            test_shapes_are_exercised;
+          Alcotest.test_case "LIR of roster and shape programs" `Slow test_pinned_lir;
+          Alcotest.test_case "Opt.compile words per LIR instruction" `Quick
+            test_compile_alloc;
         ] );
     ]
