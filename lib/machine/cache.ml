@@ -14,6 +14,11 @@ type t = {
   ways : int;
   tags : int array array;  (** [tags.(set).(way)]; -1 = invalid *)
   lru : int array array;
+  mru : int array;
+      (** per set, the way of the last hit or fill: checked before the
+          full way scan. A line lives in at most one way, so a match there
+          is the way the scan would find; LRU stamps, statistics and the
+          victim choice never read it *)
   mutable clock : int;
   stats : stats;
 }
@@ -32,6 +37,7 @@ let create ~size_kb ~ways ~line_bytes =
     ways;
     tags = Array.init nsets (fun _ -> Array.make ways (-1));
     lru = Array.init nsets (fun _ -> Array.make ways 0);
+    mru = Array.make nsets 0;
     clock = 0;
     stats = { accesses = 0; hits = 0; misses = 0 };
   }
@@ -65,6 +71,12 @@ let rec pick (tags : int array) (lru : int array) (ways : int) (w : int)
   then pick tags lru ways (w + 1) w
   else pick tags lru ways (w + 1) v
 
+(* Way holding [line] in set [set]: the set's most-recently-used way
+   first, then the full scan. *)
+let[@inline] find t (tags : int array) set (line : int) =
+  let m = Array.unsafe_get t.mru set in
+  if Array.unsafe_get tags m = line then m else scan tags line t.ways 0
+
 (** Access the line containing [addr]; fills on miss. Returns [true] on hit.
     Allocates nothing. The victim choice is bit-identical to the reference
     model's full scan. *)
@@ -74,16 +86,18 @@ let access t addr =
   let tags = t.tags.(set) and lru = t.lru.(set) in
   t.clock <- t.clock + 1;
   t.stats.accesses <- t.stats.accesses + 1;
-  let hw = scan tags line t.ways 0 in
+  let hw = find t tags set line in
   if hw >= 0 then begin
     Array.unsafe_set lru hw t.clock;
+    Array.unsafe_set t.mru set hw;
     t.stats.hits <- t.stats.hits + 1
   end
   else begin
     t.stats.misses <- t.stats.misses + 1;
     let victim = pick tags lru t.ways 0 0 in
     tags.(victim) <- line;
-    lru.(victim) <- t.clock
+    lru.(victim) <- t.clock;
+    Array.unsafe_set t.mru set victim
   end;
   hw >= 0
 
@@ -94,10 +108,11 @@ let insert t addr =
   let set = set_of t line in
   let tags = t.tags.(set) and lru = t.lru.(set) in
   t.clock <- t.clock + 1;
-  if scan tags line t.ways 0 < 0 then begin
+  if find t tags set line < 0 then begin
     let victim = pick tags lru t.ways 0 0 in
     tags.(victim) <- line;
-    lru.(victim) <- t.clock
+    lru.(victim) <- t.clock;
+    Array.unsafe_set t.mru set victim
   end
 
 let hit_rate t =

@@ -10,6 +10,8 @@ type t = private {
   ways : int;
   tags : int array array;
   lru : int array array;
+  mru : int array;
+      (** per set, the way of the last hit or fill — a lookup hint only *)
   mutable clock : int;
   stats : stats;
 }

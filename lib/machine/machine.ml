@@ -11,14 +11,24 @@
     see DESIGN.md).
 
     The executor runs the {!Predecode} stream, not [Lir.func.code] — see
-    lib/machine/README.md for the pre-decode invariants. The templated
-    executor allocates nothing per simulated instruction outside guest and
-    runtime calls (which allocate their argument vectors, and whatever the
-    called code allocates): the window and store queue are int ring
-    buffers, MSHR fill tracking is an {!Tce_support.Int_table}, the memory
-    model's loops are top-level int functions, FP results stay unboxed, and
-    loop exit is a [running] flag plus a result register. The budget is
-    gated by test/test_fastpath.ml ("optimized-tier allocation budget"). *)
+    lib/machine/README.md for the pre-decode invariants. Two executors
+    share these semantics: {!run_slow}, the per-instruction reference loop
+    (profiler, armed fault injector, streams the template layout rejects),
+    and the templated executor, which compiles each basic block into
+    direct-threaded closures — every step tail-calls its successor, a
+    terminator tail-calls the successor block's entry — and defers the
+    per-instruction counters to a per-block entry count folded into
+    {!Counters} when the outermost {!run} exits (README, "Template fusion
+    invariants").
+
+    The templated executor allocates nothing per simulated instruction
+    outside guest and runtime calls (which allocate their argument vectors,
+    and whatever the called code allocates): the window and store queue are
+    int ring buffers, MSHR fill tracking is an {!Tce_support.Int_table},
+    the memory model's loops are top-level int functions, FP results stay
+    unboxed, and the function result comes back down the closure chain as
+    an immediate [Value.t]. The budget is gated by test/test_fastpath.ml
+    ("optimized-tier allocation budget"). *)
 
 open Tce_vm
 open Tce_jit
@@ -57,37 +67,36 @@ type host = {
 
 (** {2 Superinstruction templates}
 
-    Per-run mutable state threaded through the fused step closures. The
-    closures themselves are compiled once per installed compilation (they
-    capture the machine, the [Lir.func] and all operands as immediates);
-    everything that is fresh per {!run} call — the register files and the
-    control state — travels in this record. *)
+    Per-run mutable state threaded through the step closures. The closures
+    themselves are compiled once per installed compilation (they capture
+    the machine, the [Lir.func], all operands as immediates and their
+    continuation); everything that is fresh per {!run} call — the host and
+    the register files — travels in this record. *)
 type tenv = {
   mutable te_host : host;
   mutable te_regs : Value.t array;
   mutable te_fregs : float array;
   mutable te_ready : int array;
   mutable te_fready : int array;
-  mutable te_pc : int;  (** always a block leader between steps *)
-  mutable te_running : bool;
-  mutable te_res : Value.t;
 }
 
-type tstep = tenv -> unit
+(** A direct-threaded step: executes its instruction, then tail-calls its
+    continuation (the next step, or a successor block's entry); the value
+    that comes back up the chain is the function's result. *)
+type tstep = tenv -> Value.t
 
 type tblock = {
-  tb_steps : tstep array;
-      (** fused straight-line steps, terminator (or a synthetic
-          fall-through pc update) last *)
+  mutable tb_count : int;
+      (** entries while measuring since the last fold; the block sits on
+          the machine's dirty stack exactly when this is > 0 *)
   tb_sum : Template.summary;
-      (** en-bloc counter summary, applied once per block entry when
-          measuring *)
+      (** en-bloc counter summary, folded [tb_count] times into
+          {!Counters} when the outermost {!run} exits *)
 }
 
 type template = {
   tp_pf : Predecode.func;  (** identity guard, like the pre-decode cache *)
-  tp_blocks : tblock array;
-  tp_block_of_pc : int array;
+  tp_entry : tstep;  (** entry closure of the block at pc 0 *)
 }
 
 type t = {
@@ -164,6 +173,13 @@ type t = {
           call (registers are immediate [Value.t]s, so recycling is
           GC-transparent) *)
   mutable env_free : int;
+  mutable dirty : tblock array;
+      (** stack of template blocks entered while measuring since the last
+          fold, [dirty.(0 .. dirty_len-1)] (slots above are stale) *)
+  mutable dirty_len : int;
+  mutable run_depth : int;
+      (** {!run} calls live on the host stack; block counts fold into
+          {!Counters} when this returns to 0 *)
   rt_fres : float array;
       (** one-element cell receiving a runtime stub's double result: a
           [float] returned through the host record would be boxed *)
@@ -225,6 +241,9 @@ let create ?(cfg = Config.default) ?(mechanism = true)
     tpl_cache = Hashtbl.create 64;
     env_pool = [||];
     env_free = 0;
+    dirty = [||];
+    dirty_len = 0;
+    run_depth = 0;
     rt_fres = [| 0.0 |];
   }
 
@@ -1093,7 +1112,7 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
    with Cc_exception _ -> assert false);
   !resv
 
-(* --- superinstruction templates: fused-closure compilation --- *)
+(* --- superinstruction templates: direct-threaded closure compilation --- *)
 
 (* Unprofiled dispatch variants: templates only run with the profiler off,
    so [Profile.take] in [dispatch_k] is statically known to be a no-op —
@@ -1138,9 +1157,8 @@ let tpl_dispatch_k t kind =
   else if kind = kind_store then t.store_slots <- t.store_slots + 1;
   t.cycle
 
-(* Terminator epilogues shared by the deopt-capable step closures —
-   closures over nothing, mirroring [post_store_check] /
-   [handle_cc_exception] / the OSR arms of the slow loop. *)
+(* Exits shared by the deopt-capable step closures, mirroring the OSR arms,
+   [post_store_check] and [handle_cc_exception] of the slow loop. *)
 
 let t_osr_trace t (f : Lir.func) deopt_id =
   if Tce_obs.Trace.on t.trace then
@@ -1148,63 +1166,73 @@ let t_osr_trace t (f : Lir.func) deopt_id =
       (Tce_obs.Trace.Osr
          { func = f.Lir.name; pc = f.Lir.deopts.(deopt_id).Lir.bc_pc })
 
-let t_finish_deopt t env (f : Lir.func) deopt_id ~result =
-  env.te_res <-
-    do_deopt t env.te_host f env.te_regs env.te_fregs deopt_id ~result;
-  env.te_running <- false
+let t_deopt t env (f : Lir.func) deopt_id ~result =
+  do_deopt t env.te_host f env.te_regs env.te_fregs deopt_id ~result
 
-let t_post_store t env (f : Lir.func) deopt_id next =
-  if
-    Tce_fault.Injector.armed t.fault
-    && env.te_host.is_invalidated f.Lir.opt_id
-  then begin
-    t_osr_trace t f deopt_id;
-    t_finish_deopt t env f deopt_id ~result:None
-  end
-  else env.te_pc <- next
+(* After a special store retired without raising: stay in this code unless
+   an armed fault injector invalidated it ([post_store_check]). *)
+let t_store_stays t env (f : Lir.func) =
+  not
+    (Tce_fault.Injector.armed t.fault
+    && env.te_host.is_invalidated f.Lir.opt_id)
 
-let t_handle_cc t env (f : Lir.func) deopt_id info next =
+(* After a special store raised a Class Cache exception: deliver it, and
+   stay in this code unless it was one of the victims
+   ([handle_cc_exception]). *)
+let t_cc_stays t env (f : Lir.func) info =
   if t.measuring then
     t.counters.cc_exception_deopts <- t.counters.cc_exception_deopts + 1;
   env.te_host.on_cc_exception info;
-  if env.te_host.is_invalidated f.Lir.opt_id then begin
-    t_osr_trace t f deopt_id;
-    t_finish_deopt t env f deopt_id ~result:None
-  end
-  else env.te_pc <- next
+  not (env.te_host.is_invalidated f.Lir.opt_id)
+
+(* OSR out of a special store's code: the store has completed, state is
+   consistent (paper §4.2.2). *)
+let t_store_exit t env (f : Lir.func) deopt_id =
+  t_osr_trace t f deopt_id;
+  t_deopt t env f deopt_id ~result:None
+
+(** The continuation of the stream's final block, and the placeholder in
+    the entry table before its block is compiled: the layout guarantees
+    control never reaches either. *)
+let unreachable : tstep = fun _ -> assert false
 
 (** Measurement pseudo-ops: zero timing cost, no dispatch, no fetch. *)
-let compile_pseudo t (op : Predecode.pre) : tstep =
+let compile_pseudo t (op : Predecode.pre) ~(knext : tstep) : tstep =
   match op with
   | Predecode.Pprofile (r, line, pos) ->
     fun env ->
       if t.measuring then begin
         let classid = Heap.classid_of t.heap env.te_regs.(r) in
         Counters.record_obj_load t.counters ~classid ~line ~pos
-      end
+      end;
+      knext env
   | Pprofile_store_r (r, line, pos, vr) ->
     fun env ->
       let regs = env.te_regs in
       let classid = Heap.classid_of t.heap regs.(r) in
       let value_classid = Heap.classid_of t.heap regs.(vr) in
-      Tce_core.Oracle.record t.oracle ~classid ~line ~pos ~value_classid
+      Tce_core.Oracle.record t.oracle ~classid ~line ~pos ~value_classid;
+      knext env
   | Pprofile_store_c (r, line, pos, c) ->
     fun env ->
       let classid = Heap.classid_of t.heap env.te_regs.(r) in
-      Tce_core.Oracle.record t.oracle ~classid ~line ~pos ~value_classid:c
+      Tce_core.Oracle.record t.oracle ~classid ~line ~pos ~value_classid:c;
+      knext env
   | _ -> assert false
 
-(** Compile one non-pseudo instruction into a fused step closure. All
-    operands, latencies, ALU/condition operators and the dispatch-port
-    variant are bound at compile time; each closure body is the matching
-    arm of {!run_slow} minus the per-instruction counting (applied en bloc
-    at block entry), the profiler tests (templates only run with profiling
-    off) and the pc update for non-terminators (straight-line steps run in
-    array order; only terminators publish a pc). *)
-let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
+(** Compile one non-pseudo instruction into a threaded step closure. All
+    operands, latencies, ALU/condition operators, the dispatch-port variant
+    and the continuations are bound at compile time; each closure body is
+    the matching arm of {!run_slow} minus the per-instruction counting
+    (block entries are counted instead) and the profiler tests (templates
+    only run with profiling off). Control transfers are tail calls: [knext]
+    is the code at [pc + 1] (the next step, or the next block's entry after
+    a terminator), and a branch to [target] enters
+    [entries.(block_of_pc.(target))], the target block's entry closure. *)
+let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) ~(knext : tstep)
+    ~(entries : tstep array) ~(block_of_pc : int array) : tstep =
   let mem = t.heap.Heap.mem in
   let opt_id = f.Lir.opt_id in
-  let next = pc + 1 in
   let kind = (m lsr Predecode.meta_kind_shift) land 3 in
   match op with
   | Predecode.Pprofile _ | Pprofile_store_r _ | Pprofile_store_c _ ->
@@ -1214,14 +1242,16 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let d = tpl_dispatch_k t kind in
       env.te_regs.(r) <- i;
       env.te_ready.(r) <- d + 1;
-      complete t (d + 1)
+      complete t (d + 1);
+      knext env
   | Pmov (rd, rs) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       regs.(rd) <- regs.(rs);
       ready.(rd) <- imax d ready.(rs) + 1;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      knext env
   | Palu_r (a, lat, rd, rs, ro) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1229,7 +1259,8 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d (imax ready.(rs) ready.(ro)) in
       regs.(rd) <- alu_apply a regs.(rs) regs.(ro);
       ready.(rd) <- start + lat;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      knext env
   | Palu_i (a, lat, rd, rs, i) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1237,7 +1268,8 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d ready.(rs) in
       regs.(rd) <- alu_apply a regs.(rs) i;
       ready.(rd) <- start + lat;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      knext env
   | Psh64_r (sc, rd, rs, ro) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1245,7 +1277,8 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d (imax ready.(rs) ready.(ro)) in
       regs.(rd) <- sh64_apply sc regs.(rs) (regs.(ro) land 63);
       ready.(rd) <- start + 1;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      knext env
   | Psh64_i (sc, rd, rs, i) ->
     let y = i land 63 in
     fun env ->
@@ -1254,7 +1287,8 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d ready.(rs) in
       regs.(rd) <- sh64_apply sc regs.(rs) y;
       ready.(rd) <- start + 1;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      knext env
   | Palu32_r (a, lat, rd, rs, ro) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1262,7 +1296,8 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d (imax ready.(rs) ready.(ro)) in
       regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) regs.(ro));
       ready.(rd) <- start + lat;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      knext env
   | Palu32_i (a, lat, rd, rs, i) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1270,8 +1305,10 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d ready.(rs) in
       regs.(rd) <- Value.to_int32 (alu_apply a regs.(rs) i);
       ready.(rd) <- start + lat;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      knext env
   | Paluov_r (a, lat, rd, rs, ro, target) ->
+    let bt = block_of_pc.(target) in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
@@ -1281,10 +1318,11 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       complete t ready.(rd);
       if Value.smi_fits (v asr 1) then begin
         regs.(rd) <- v;
-        env.te_pc <- next
+        knext env
       end
-      else env.te_pc <- target
+      else entries.(bt) env
   | Paluov_i (a, lat, rd, rs, i, target) ->
+    let bt = block_of_pc.(target) in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
@@ -1294,9 +1332,9 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       complete t ready.(rd);
       if Value.smi_fits (v asr 1) then begin
         regs.(rd) <- v;
-        env.te_pc <- next
+        knext env
       end
-      else env.te_pc <- target
+      else entries.(bt) env
   | Pload (rd, rb, off) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1305,7 +1343,8 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d ready.(rb) in
       regs.(rd) <- Mem.load mem addr;
       ready.(rd) <- daccess t ~start addr;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      knext env
   | Pchecked_load (rd, rb, off, expected, deopt_id) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1316,12 +1355,12 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let line_base = Tce_vm.Layout.line_base_of_addr addr in
       let w = Mem.load mem line_base in
       if Value.is_smi base || w <> expected then
-        t_finish_deopt t env f deopt_id ~result:None
+        t_deopt t env f deopt_id ~result:None
       else begin
         regs.(rd) <- Mem.load mem addr;
         ready.(rd) <- daccess t ~start addr;
         complete t ready.(rd);
-        env.te_pc <- next
+        knext env
       end
   | Pload_idx (rd, rb, ri, off) ->
     fun env ->
@@ -1331,7 +1370,8 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d (imax ready.(rb) ready.(ri)) in
       regs.(rd) <- Mem.load mem addr;
       ready.(rd) <- daccess t ~start addr;
-      complete t ready.(rd)
+      complete t ready.(rd);
+      knext env
   | Pfload (fd, rb, off) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1341,7 +1381,8 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d ready.(rb) in
       fregs.(fd) <- Fbits.to_float (Mem.load mem addr);
       fready.(fd) <- daccess t ~start addr;
-      complete t fready.(fd)
+      complete t fready.(fd);
+      knext env
   | Pfload_idx (fd, rb, ri, off) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1351,19 +1392,22 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let start = imax d (imax ready.(rb) ready.(ri)) in
       fregs.(fd) <- Fbits.to_float (Mem.load mem addr);
       fready.(fd) <- daccess t ~start addr;
-      complete t fready.(fd)
+      complete t fready.(fd);
+      knext env
   | Pstore_r (rb, off, vr) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d ~addr:(regs.(rb) + off)
         ~start:(imax ready.(vr) ready.(rb))
-        ~word:regs.(vr)
+        ~word:regs.(vr);
+      knext env
   | Pstore_i (rb, off, i) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
-      do_store t d ~addr:(regs.(rb) + off) ~start:ready.(rb) ~word:i
+      do_store t d ~addr:(regs.(rb) + off) ~start:ready.(rb) ~word:i;
+      knext env
   | Pstore_idx_r (rb, ri, off, vr) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1371,7 +1415,8 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       do_store t d
         ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
         ~start:(imax ready.(vr) (imax ready.(rb) ready.(ri)))
-        ~word:regs.(vr)
+        ~word:regs.(vr);
+      knext env
   | Pstore_idx_i (rb, ri, off, i) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1379,14 +1424,16 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       do_store t d
         ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
         ~start:(imax ready.(rb) ready.(ri))
-        ~word:i
+        ~word:i;
+      knext env
   | Pfstore (rb, off, fv) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       do_store t d ~addr:(regs.(rb) + off)
         ~start:(imax env.te_fready.(fv) ready.(rb))
-        ~word:(Fbits.of_float env.te_fregs.(fv))
+        ~word:(Fbits.of_float env.te_fregs.(fv));
+      knext env
   | Pfstore_idx (rb, ri, off, fv) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1394,105 +1441,121 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       do_store t d
         ~addr:(regs.(rb) + (regs.(ri) * 8) + off)
         ~start:(imax env.te_fready.(fv) (imax ready.(rb) ready.(ri)))
-        ~word:(Fbits.of_float env.te_fregs.(fv))
+        ~word:(Fbits.of_float env.te_fregs.(fv));
+      knext env
   | Pfmov (fd, fs) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- fregs.(fs);
       fready.(fd) <- imax d fready.(fs) + 1;
-      complete t fready.(fd)
+      complete t fready.(fd);
+      knext env
   | Pfmov_imm (fd, x) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       env.te_fregs.(fd) <- x;
       env.te_fready.(fd) <- d + 1;
-      complete t (d + 1)
+      complete t (d + 1);
+      knext env
   | Pfadd (fd, fa, fb) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       let fregs = env.te_fregs in
       fregs.(fd) <- Fbits.canon (fregs.(fa) +. fregs.(fb));
-      falu_time t d env.te_fready fd fa fb 3
+      falu_time t d env.te_fready fd fa fb 3;
+      knext env
   | Pfsub (fd, fa, fb) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       let fregs = env.te_fregs in
       fregs.(fd) <- Fbits.canon (fregs.(fa) -. fregs.(fb));
-      falu_time t d env.te_fready fd fa fb 3
+      falu_time t d env.te_fready fd fa fb 3;
+      knext env
   | Pfmul (fd, fa, fb) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       let fregs = env.te_fregs in
       fregs.(fd) <- Fbits.canon (fregs.(fa) *. fregs.(fb));
-      falu_time t d env.te_fready fd fa fb 5
+      falu_time t d env.te_fready fd fa fb 5;
+      knext env
   | Pfdiv (fd, fa, fb) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       let fregs = env.te_fregs in
       fregs.(fd) <- Fbits.canon (fregs.(fa) /. fregs.(fb));
-      falu_time t d env.te_fready fd fa fb 20
+      falu_time t d env.te_fready fd fa fb 20;
+      knext env
   | Pfsqrt (fd, fs) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- Fbits.canon (sqrt fregs.(fs));
       fready.(fd) <- imax d fready.(fs) + fsqrt_lat;
-      complete t fready.(fd)
+      complete t fready.(fd);
+      knext env
   | Pfneg (fd, fs) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- -.fregs.(fs);
       fready.(fd) <- imax d fready.(fs) + 1;
-      complete t fready.(fd)
+      complete t fready.(fd);
+      knext env
   | Pfabs (fd, fs) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       let fregs = env.te_fregs and fready = env.te_fready in
       fregs.(fd) <- Float.abs fregs.(fs);
       fready.(fd) <- imax d fready.(fs) + 1;
-      complete t fready.(fd)
+      complete t fready.(fd);
+      knext env
   | Pcvtif (fd, rs) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       env.te_fregs.(fd) <- float_of_int env.te_regs.(rs);
       env.te_fready.(fd) <- imax d env.te_ready.(rs) + flat_lat;
-      complete t env.te_fready.(fd)
+      complete t env.te_fready.(fd);
+      knext env
   | Ptruncfi (rd, fs) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       env.te_regs.(rd) <- Value.js_to_int32_float env.te_fregs.(fs);
       env.te_ready.(rd) <- imax d env.te_fready.(fs) + flat_lat;
-      complete t env.te_ready.(rd)
+      complete t env.te_ready.(rd);
+      knext env
   | Pbranch_r (c, r, ro, target) ->
+    let bt = block_of_pc.(target) in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let regs = env.te_regs and ready = env.te_ready in
       let start = imax d (imax ready.(r) ready.(ro)) in
       let taken = cond_apply c regs.(r) regs.(ro) in
       branch_resolve t ~opt_id ~pc ~start ~taken;
-      env.te_pc <- (if taken then target else next)
+      if taken then entries.(bt) env else knext env
   | Pbranch_i (c, r, i, target) ->
+    let bt = block_of_pc.(target) in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let start = imax d env.te_ready.(r) in
       let taken = cond_apply c env.te_regs.(r) i in
       branch_resolve t ~opt_id ~pc ~start ~taken;
-      env.te_pc <- (if taken then target else next)
+      if taken then entries.(bt) env else knext env
   | Pfbranch (c, fa, fb, target) ->
+    let bt = block_of_pc.(target) in
     fun env ->
       let d = tpl_dispatch_k t kind in
       let fready = env.te_fready in
       let start = imax d (imax fready.(fa) fready.(fb)) in
       let taken = fcond_apply c env.te_fregs.(fa) env.te_fregs.(fb) in
       branch_resolve t ~opt_id ~pc ~start ~taken;
-      env.te_pc <- (if taken then target else next)
+      if taken then entries.(bt) env else knext env
   | Pjmp target ->
+    let bt = block_of_pc.(target) in
     fun env ->
       let d = tpl_dispatch_k t kind in
       complete t (d + 1);
-      env.te_pc <- target
+      entries.(bt) env
   | Pcall_fn (callee, argr, rd, deopt_id, cinstrs) ->
     fun env ->
       ignore (tpl_dispatch_k t kind);
@@ -1504,12 +1567,12 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let v = env.te_host.call_fn callee (gather regs argr) in
       if env.te_host.is_invalidated opt_id then begin
         t_osr_trace t f deopt_id;
-        t_finish_deopt t env f deopt_id ~result:(Some v)
+        t_deopt t env f deopt_id ~result:(Some v)
       end
       else begin
         regs.(rd) <- v;
         ready.(rd) <- t.cycle + 1;
-        env.te_pc <- next
+        knext env
       end
   | Pcall_rt_chk (rt, argr, rd, deopt_id, cinstrs, ccycles) ->
     let cat_idx = m land Predecode.meta_cat_mask in
@@ -1526,10 +1589,9 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       end;
       if env.te_host.is_invalidated opt_id then begin
         t_osr_trace t f deopt_id;
-        t_finish_deopt t env f deopt_id
-          ~result:(if rd >= 0 then Some v else None)
+        t_deopt t env f deopt_id ~result:(if rd >= 0 then Some v else None)
       end
-      else env.te_pc <- next
+      else knext env
   | Pcall_rt (rt, argr, fargr, rd, fd, cinstrs, ccycles) ->
     let cat_idx = m land Predecode.meta_cat_mask in
     fun env ->
@@ -1551,17 +1613,16 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
         fregs.(fd) <- t.rt_fres.(0);
         fready.(fd) <- t.cycle + 1
       end;
-      env.te_pc <- next
+      knext env
   | Pret r ->
     fun env ->
       let d = tpl_dispatch_k t kind in
       complete t (d + 1);
-      env.te_res <- env.te_regs.(r);
-      env.te_running <- false
+      env.te_regs.(r)
   | Pdeopt deopt_id ->
     fun env ->
       ignore (tpl_dispatch_k t kind);
-      t_finish_deopt t env f deopt_id ~result:None
+      t_deopt t env f deopt_id ~result:None
   | Pmov_classid r ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1574,7 +1635,8 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
         let addr = Value.ptr_addr v in
         t.reg_classid <- Heap.classid_of t.heap v;
         complete t (daccess t ~start:(imax d env.te_ready.(r)) addr)
-      end
+      end;
+      knext env
   | Pmov_classid_arr (k, r) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1587,7 +1649,11 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
         let addr = Value.ptr_addr v in
         t.reg_classid_arr.(k) <- Heap.classid_of t.heap v;
         complete t (daccess t ~start:(imax d env.te_ready.(r)) addr)
-      end
+      end;
+      knext env
+  (* The special stores keep the handler around the Class Cache request and
+     the staying test only; the continuation (or the OSR exit) runs after
+     the handler is popped, so it stays a tail call. *)
   | Pstore_cc_r (rb, off, vr, deopt_id) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1599,10 +1665,13 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let classid = Tce_vm.Layout.classid_of_class_word w in
       let line = Tce_vm.Layout.line_of_class_word w in
       let pos = Tce_vm.Layout.slot_pos_of_addr addr in
-      (try
-         cc_request_tagged t ~classid ~line ~pos ~stored:regs.(vr);
-         t_post_store t env f deopt_id next
-       with Cc_exception info -> t_handle_cc t env f deopt_id info next)
+      let stays =
+        try
+          cc_request_tagged t ~classid ~line ~pos ~stored:regs.(vr);
+          t_store_stays t env f
+        with Cc_exception info -> t_cc_stays t env f info
+      in
+      if stays then knext env else t_store_exit t env f deopt_id
   | Pstore_cc_i (rb, off, i, deopt_id) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1614,10 +1683,13 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let classid = Tce_vm.Layout.classid_of_class_word w in
       let line = Tce_vm.Layout.line_of_class_word w in
       let pos = Tce_vm.Layout.slot_pos_of_addr addr in
-      (try
-         cc_request_tagged t ~classid ~line ~pos ~stored:i;
-         t_post_store t env f deopt_id next
-       with Cc_exception info -> t_handle_cc t env f deopt_id info next)
+      let stays =
+        try
+          cc_request_tagged t ~classid ~line ~pos ~stored:i;
+          t_store_stays t env f
+        with Cc_exception info -> t_cc_stays t env f info
+      in
+      if stays then knext env else t_store_exit t env f deopt_id
   | Pstore_cca_r (k, rb, ri, off, vr, deopt_id) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1627,11 +1699,14 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
         ~start:(imax ready.(vr) (imax ready.(rb) ready.(ri)))
         ~word:regs.(vr);
       let classid = t.reg_classid_arr.(k) in
-      (try
-         cc_request_tagged t ~classid ~line:0
-           ~pos:Tce_vm.Layout.elements_ptr_slot ~stored:regs.(vr);
-         t_post_store t env f deopt_id next
-       with Cc_exception info -> t_handle_cc t env f deopt_id info next)
+      let stays =
+        try
+          cc_request_tagged t ~classid ~line:0
+            ~pos:Tce_vm.Layout.elements_ptr_slot ~stored:regs.(vr);
+          t_store_stays t env f
+        with Cc_exception info -> t_cc_stays t env f info
+      in
+      if stays then knext env else t_store_exit t env f deopt_id
   | Pstore_cca_i (k, rb, ri, off, i, deopt_id) ->
     fun env ->
       let d = tpl_dispatch_k t kind in
@@ -1639,84 +1714,162 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) : tstep =
       let addr = regs.(rb) + (regs.(ri) * 8) + off in
       do_store t d ~addr ~start:(imax ready.(rb) ready.(ri)) ~word:i;
       let classid = t.reg_classid_arr.(k) in
-      (try
-         cc_request_tagged t ~classid ~line:0
-           ~pos:Tce_vm.Layout.elements_ptr_slot ~stored:i;
-         t_post_store t env f deopt_id next
-       with Cc_exception info -> t_handle_cc t env f deopt_id info next)
+      let stays =
+        try
+          cc_request_tagged t ~classid ~line:0
+            ~pos:Tce_vm.Layout.elements_ptr_slot ~stored:i;
+          t_store_stays t env f
+        with Cc_exception info -> t_cc_stays t env f info
+      in
+      if stays then knext env else t_store_exit t env f deopt_id
 
-(** En-bloc counter application: one straight-line pass adding the block
-    summary, called once per block entry while measuring. Exact because
-    non-terminator instructions cannot exit the block
-    ({!Template.summarize}). The unsafe accesses pair same-length arrays
-    ([Categories.count] and [check_kind_count + 1] on both sides). *)
-let apply_summary (c : Counters.t) (s : Template.summary) =
+(** {3 Deferred block counters}
+
+    A templated block does not add its counter summary on entry: its entry
+    closure only bumps [tb_count] (pushing the block on the machine's dirty
+    stack on the 0 → 1 transition), and {!fold_block_counts} adds
+    [tb_count × summary] when the outermost {!run} returns or raises.
+
+    This is exact. Counting is additive, so neither the fold order nor
+    multiplying instead of repeating changes a total, and a block is
+    counted only when entered while measuring, as before. The contract:
+    nothing reads [by_cat], [by_check_kind], [guards_obj_load] or
+    [opt_loads/stores/branches/fp] while a {!run} is live. The engine's
+    observability tick reads deopts, tier-ups, Class Cache and baseline
+    counts only; the harness reads after [bench()] returns; and the
+    cycle-attribution profiler, which needs per-instruction counts, forces
+    {!run_slow}. *)
+
+let push_dirty t b =
+  let n = t.dirty_len in
+  if n = Array.length t.dirty then begin
+    let a = Array.make (imax 16 (2 * n)) b in
+    Array.blit t.dirty 0 a 0 n;
+    t.dirty <- a
+  end;
+  t.dirty.(n) <- b;
+  t.dirty_len <- n + 1
+
+(* [count] entries' worth of [s]. The unsafe accesses pair same-length
+   arrays ([Categories.count] and [check_kind_count + 1] on both sides). *)
+let add_summary (c : Counters.t) (s : Template.summary) count =
   let bc = c.Counters.by_cat and sc = s.Template.s_by_cat in
   for i = 0 to Array.length sc - 1 do
-    Array.unsafe_set bc i (Array.unsafe_get bc i + Array.unsafe_get sc i)
+    bc.(i) <- bc.(i) + (count * sc.(i))
   done;
   let bk = c.Counters.by_check_kind and sk = s.Template.s_by_check in
   for i = 0 to Array.length sk - 1 do
-    Array.unsafe_set bk i (Array.unsafe_get bk i + Array.unsafe_get sk i)
+    bk.(i) <- bk.(i) + (count * sk.(i))
   done;
-  c.Counters.guards_obj_load <- c.Counters.guards_obj_load + s.Template.s_guards;
-  c.Counters.opt_loads <- c.Counters.opt_loads + s.Template.s_loads;
-  c.Counters.opt_stores <- c.Counters.opt_stores + s.Template.s_stores;
-  c.Counters.opt_branches <- c.Counters.opt_branches + s.Template.s_branches;
-  c.Counters.opt_fp <- c.Counters.opt_fp + s.Template.s_fp
+  c.guards_obj_load <- c.guards_obj_load + (count * s.Template.s_guards);
+  c.opt_loads <- c.opt_loads + (count * s.Template.s_loads);
+  c.opt_stores <- c.opt_stores + (count * s.Template.s_stores);
+  c.opt_branches <- c.opt_branches + (count * s.Template.s_branches);
+  c.opt_fp <- c.opt_fp + (count * s.Template.s_fp)
 
-(** Compile one basic block into its fused step array. I-cache accounting
-    is resolved statically within the block: after any executed non-pseudo
-    instruction [last_iline] equals its line, so only the block's first
-    non-pseudo step needs the dynamic line compare — later steps either
-    provably stay on the same line (no fetch) or provably cross into a new
-    one (unconditional fetch). Pseudo-ops never fetch. *)
-let compile_block t (f : Lir.func) (pf : Predecode.func) (b : Template.block)
-    : tblock =
-  let ops = pf.Predecode.ops and meta = pf.Predecode.meta in
-  let code_addr = f.Lir.code_addr in
-  let steps = ref [] in
-  let prev_line = ref (-1) in
-  for pc = b.Template.b_start to b.Template.b_start + b.Template.b_len - 1 do
-    let m = meta.(pc) and op = ops.(pc) in
-    if m land Predecode.meta_pseudo_bit <> 0 then
-      steps := compile_pseudo t op :: !steps
-    else begin
-      let line = (code_addr + (4 * pc)) lsr 6 in
-      let body = compile_body t f ~pc ~m op in
-      let step =
-        if !prev_line < 0 then fun env ->
+let fold_block_counts t =
+  for i = 0 to t.dirty_len - 1 do
+    let b = t.dirty.(i) in
+    add_summary t.counters b.tb_sum b.tb_count;
+    b.tb_count <- 0
+  done;
+  t.dirty_len <- 0
+
+(* Count one entry of [b]: the 0 -> 1 transition puts it on the dirty
+   stack. *)
+let count_entry t b =
+  let c = b.tb_count in
+  b.tb_count <- c + 1;
+  if c = 0 then push_dirty t b
+
+let[@inline] is_pseudo (meta : int array) pc =
+  meta.(pc) land Predecode.meta_pseudo_bit <> 0
+
+let[@inline] line_of_pc (f : Lir.func) pc = (f.Lir.code_addr + (4 * pc)) lsr 6
+
+(* I-cache line of the closest non-pseudo pc in [first, pc], or -1. *)
+let rec fetched_line (f : Lir.func) (meta : int array) ~first pc =
+  if pc < first then -1
+  else if is_pseudo meta pc then fetched_line f meta ~first (pc - 1)
+  else line_of_pc f pc
+
+(** Compile one basic block into its entry closure. Steps are built back
+    to front, from [pc] down to the block's first pc: each captures the
+    step after it, and the last one [knext] — the next block's entry,
+    which {!compile_template} compiled first (or {!unreachable} after the
+    final block).
+
+    I-cache accounting is resolved statically within the block: after any
+    executed non-pseudo instruction [last_iline] equals its line, so only
+    the block's first non-pseudo step needs the dynamic line compare —
+    later steps either provably stay on the same line (no fetch) or
+    provably cross into a new one (unconditional fetch). Pseudo-ops never
+    fetch. The entry closure counts the entry while measuring; when the
+    block starts with a non-pseudo instruction it also performs that
+    step's line compare, saving one closure call per block. *)
+let rec compile_block t (f : Lir.func) (pf : Predecode.func)
+    (b : Template.block) ~entries ~block_of_pc pc (knext : tstep) : tstep =
+  let meta = pf.Predecode.meta in
+  let first = b.Template.b_start in
+  if pc >= first then begin
+    let op = pf.Predecode.ops.(pc) in
+    let step =
+      if is_pseudo meta pc then compile_pseudo t op ~knext
+      else begin
+        let line = line_of_pc f pc in
+        let body =
+          compile_body t f ~pc ~m:meta.(pc) op ~knext ~entries ~block_of_pc
+        in
+        let prev = fetched_line f meta ~first (pc - 1) in
+        if pc = first || prev = line then body
+        else if prev < 0 then fun env ->
           if line <> t.last_iline then ifetch_slow t line;
           body env
-        else if !prev_line = line then body
         else fun env ->
           ifetch_slow t line;
           body env
-      in
-      prev_line := line;
-      steps := step :: !steps
+      end
+    in
+    compile_block t f pf b ~entries ~block_of_pc (pc - 1) step
+  end
+  else begin
+    let blk = { tb_count = 0; tb_sum = b.Template.b_sum } in
+    if is_pseudo meta first then fun env ->
+      if t.measuring then count_entry t blk;
+      knext env
+    else begin
+      let line = line_of_pc f first in
+      fun env ->
+        if t.measuring then count_entry t blk;
+        if line <> t.last_iline then ifetch_slow t line;
+        knext env
     end
-  done;
-  if not b.Template.b_terminated then begin
-    let nxt = b.Template.b_start + b.Template.b_len in
-    steps := (fun env -> env.te_pc <- nxt) :: !steps
-  end;
-  { tb_steps = Array.of_list (List.rev !steps); tb_sum = b.Template.b_sum }
+  end
 
 (** Compile the full template for a decoded stream, or [None] when
-    {!Template.layout} rejects it (fall back to the slow loop forever). *)
+    {!Template.layout} rejects it (fall back to the slow loop forever).
+    Blocks compile last to first so that each one's fall-through
+    successor already exists; branch targets go through [entries], which
+    holds every block's entry closure once the loop is done. *)
 let compile_template t (f : Lir.func) (pf : Predecode.func) : template option
     =
   match Template.layout pf with
   | None -> None
   | Some lay ->
-    Some
-      {
-        tp_pf = pf;
-        tp_blocks =
-          Array.map (fun b -> compile_block t f pf b) lay.Template.blocks;
-        tp_block_of_pc = lay.Template.block_of_pc;
-      }
+    let blocks = lay.Template.blocks in
+    let entries = Array.make (Array.length blocks) unreachable in
+    let block_of_pc = lay.Template.block_of_pc in
+    for i = Array.length blocks - 1 downto 0 do
+      let b = blocks.(i) in
+      let knext =
+        if i + 1 < Array.length blocks then entries.(i + 1) else unreachable
+      in
+      entries.(i) <-
+        compile_block t f pf b ~entries ~block_of_pc
+          (b.Template.b_start + b.Template.b_len - 1)
+          knext
+    done;
+    Some { tp_pf = pf; tp_entry = entries.(0) }
 
 let compile_into t (f : Lir.func) (pf : Predecode.func) =
   let tpl = compile_template t f pf in
@@ -1743,10 +1896,10 @@ let release_env t env =
   t.env_pool.(t.env_free) <- env;
   t.env_free <- t.env_free + 1
 
-(** Templated executor: enter the current leader's block, apply its counter
-    summary en bloc, then run the fused steps in order; the terminator (or
-    the synthetic fall-through step) publishes the next leader pc or
-    finishes the run. Bit-identical to {!run_slow} by construction. *)
+(** Templated executor: set up the register files and call the entry of
+    the block at pc 0 once. Control then threads through the step closures
+    by tail calls until a [Pret] or a deopt returns the result. Bit-identical
+    to {!run_slow} by construction. *)
 let run_templated t (host : host) (f : Lir.func) (tpl : template)
     (args : Value.t array) : Value.t =
   let nr = imax f.Lir.n_regs 1 in
@@ -1768,9 +1921,6 @@ let run_templated t (host : host) (f : Lir.func) (tpl : template)
         e.te_fready <- Array.make nf 0
       end;
       e.te_host <- host;
-      e.te_pc <- 0;
-      e.te_running <- true;
-      e.te_res <- 0;
       e
     end
     else
@@ -1780,9 +1930,6 @@ let run_templated t (host : host) (f : Lir.func) (tpl : template)
         te_fregs = Array.make nf 0.0;
         te_ready = Array.make nr 0;
         te_fready = Array.make nf 0;
-        te_pc = 0;
-        te_running = true;
-        te_res = 0;
       }
   in
   let regs = env.te_regs in
@@ -1796,27 +1943,11 @@ let run_templated t (host : host) (f : Lir.func) (tpl : template)
   for i = nargs to min (Array.length f.Lir.reprs) f.Lir.n_regs - 1 do
     regs.(i) <- t.heap.Heap.null_v
   done;
-  let blocks = tpl.tp_blocks and block_of_pc = tpl.tp_block_of_pc in
-  let counters = t.counters in
-  while env.te_running do
-    let b = blocks.(block_of_pc.(env.te_pc)) in
-    if t.measuring then apply_summary counters b.tb_sum;
-    let steps = b.tb_steps in
-    for i = 0 to Array.length steps - 1 do
-      (Array.unsafe_get steps i) env
-    done
-  done;
-  let res = env.te_res in
+  let res = tpl.tp_entry env in
   release_env t env;
   res
 
-(** Execute optimized code [f] on [args] = [this :: params], returning the
-    function result (possibly via a deopt into the interpreter). Runs the
-    fused-template executor whenever it is equivalent to the
-    per-instruction loop: templates enabled, profiler off (per-pc
-    attribution needs per-instruction sites), no fault injector armed, and
-    the stream fusible. *)
-let run t (host : host) (f : Lir.func) (args : Value.t array) : Value.t =
+let run_any t (host : host) (f : Lir.func) (args : Value.t array) : Value.t =
   let pf = install t f in
   if
     t.templates
@@ -1827,3 +1958,25 @@ let run t (host : host) (f : Lir.func) (args : Value.t array) : Value.t =
     | Some tpl -> run_templated t host f tpl args
     | None -> run_slow t host f pf args
   else run_slow t host f pf args
+
+(* Leave one {!run}; the outermost one folds the deferred block counts. *)
+let leave t =
+  t.run_depth <- t.run_depth - 1;
+  if t.run_depth = 0 then fold_block_counts t
+
+(** Execute optimized code [f] on [args] = [this :: params], returning the
+    function result (possibly via a deopt into the interpreter). Runs the
+    templated executor whenever it is equivalent to the per-instruction
+    loop: templates enabled, profiler off (per-pc attribution needs
+    per-instruction sites), no fault injector armed, and the stream
+    fusible. When the outermost call returns or raises, the templated
+    blocks' deferred counts are folded into {!Counters}. *)
+let run t (host : host) (f : Lir.func) (args : Value.t array) : Value.t =
+  t.run_depth <- t.run_depth + 1;
+  match run_any t host f args with
+  | v ->
+    leave t;
+    v
+  | exception e ->
+    leave t;
+    raise e

@@ -42,15 +42,19 @@ type host = {
   is_invalidated : int -> bool;
 }
 
-(** A compiled superinstruction template: fused straight-line closures per
-    basic block, bit-identical to the per-instruction loop (see
-    lib/machine/README.md, "Template fusion invariants"). Abstract — built
-    and consumed inside {!run}. *)
+(** A compiled superinstruction template: direct-threaded step closures,
+    each tail-calling its successor, bit-identical to the per-instruction
+    loop (see lib/machine/README.md, "Template fusion invariants").
+    Abstract — built and consumed inside {!run}. *)
 type template
 
-(** A pooled per-run template environment (register files and control
-    state). Abstract — recycled across guest calls via [env_pool]. *)
+(** A pooled per-run template environment (host and register files).
+    Abstract — recycled across guest calls via [env_pool]. *)
 type tenv
+
+(** A templated basic block's deferred entry count and counter summary.
+    Abstract — see [dirty]. *)
+type tblock
 
 type t = {
   cfg : Config.t;
@@ -113,6 +117,16 @@ type t = {
       (** stack of free per-run template environments (register-file
           reuse): [env_pool.(0 .. env_free - 1)] *)
   mutable env_free : int;
+  mutable dirty : tblock array;
+      (** templated blocks entered while measuring whose counts are not
+          yet in [counters]: [dirty.(0 .. dirty_len - 1)] *)
+  mutable dirty_len : int;
+  mutable run_depth : int;
+      (** live {!run} calls; the outermost one's exit (return or raise)
+          folds the deferred block counts into [counters], so the
+          per-instruction counters ([by_cat], [by_check_kind],
+          [guards_obj_load], [opt_loads/stores/branches/fp]) are exact
+          whenever no {!run} is live *)
   rt_fres : float array;
       (** one-element cell receiving a runtime stub's double result (a
           [float] returned through {!host} would be boxed) *)
@@ -141,5 +155,8 @@ val prefill : t -> addr:int -> bytes:int -> unit
 val gather : Tce_vm.Value.t array -> int array -> Tce_vm.Value.t array
 
 (** Execute optimized code on [this :: params], returning the function
-    result (possibly produced by a deoptimized continuation). *)
+    result (possibly produced by a deoptimized continuation). Templated
+    blocks count their entries and the outermost call folds the counts
+    into [counters] as it returns or raises: read the per-instruction
+    counters only while no call is live. *)
 val run : t -> host -> Tce_jit.Lir.func -> Tce_vm.Value.t array -> Tce_vm.Value.t

@@ -3,15 +3,17 @@
     closures (see lib/machine/README.md, "Template fusion invariants").
 
     This module is the pure analysis half: which pcs lead blocks, where
-    each block ends, and the en-bloc counter summary the executor applies
-    once per block entry instead of once per instruction. The closure
+    each block ends, and the en-bloc counter summary the executor adds
+    once per block entry (deferred: entries are counted, and count ×
+    summary is folded when the outermost run exits) instead of once per
+    instruction. The closure
     compilation (the half that needs {!Machine.t}'s timing primitives)
     lives in machine.ml; keeping the layout separate makes it independently
     testable against the 39 LIR constructors (test/test_template.ml).
 
     Invariants the layout guarantees (and the executor relies on):
     - every control-flow successor of a block (branch target, fall-through
-      after a terminator) is a block leader, so the templated run loop only
+      after a terminator) is a block leader, so the threaded executor only
       ever enters blocks at their first instruction;
     - non-terminator instructions never leave the block (no deopt, no
       exception, no host call), so the per-block counter summary is exactly

@@ -6,7 +6,9 @@
     (overwhelmingly common) hit case in O(1). The miss path keeps the
     original full scan so the victim choice — last empty entry if any entry
     is empty, else the first entry with the strictly smallest LRU stamp —
-    is bit-identical to the reference model. *)
+    is bit-identical to the reference model. Before the table probe, the
+    entry of the last hit or fill is checked: consecutive accesses mostly
+    stay on one page. *)
 
 type stats = { mutable accesses : int; mutable hits : int; mutable misses : int }
 
@@ -17,6 +19,10 @@ type t = {
   mutable clock : int;
   stats : stats;
   idx : Tce_support.Int_table.t;  (** page -> entry index (hit fast path) *)
+  mutable last : int;
+      (** entry of the last hit or fill; [pages.(last) = page] means it
+          holds [page] — a page lives in at most one entry, so this is the
+          entry [idx] would return *)
 }
 
 let page_bits = 12
@@ -29,15 +35,20 @@ let create ~entries =
     clock = 0;
     stats = { accesses = 0; hits = 0; misses = 0 };
     idx = Tce_support.Int_table.create ~size:(2 * entries) ();
+    last = 0;
   }
 
 let access t addr =
   let page = addr lsr page_bits in
   t.clock <- t.clock + 1;
   t.stats.accesses <- t.stats.accesses + 1;
-  let i = Tce_support.Int_table.find t.idx page (-1) in
+  let i =
+    if t.pages.(t.last) = page then t.last
+    else Tce_support.Int_table.find t.idx page (-1)
+  in
   if i >= 0 then begin
     Array.unsafe_set t.lru i t.clock;
+    t.last <- i;
     t.stats.hits <- t.stats.hits + 1;
     true
   end
@@ -49,6 +60,7 @@ let access t addr =
     t.pages.(victim) <- page;
     t.lru.(victim) <- t.clock;
     Tce_support.Int_table.set t.idx page victim;
+    t.last <- victim;
     false
   end
 

@@ -9,6 +9,7 @@ type t = private {
   mutable clock : int;
   stats : stats;
   idx : Tce_support.Int_table.t;  (** page -> entry index (hit fast path) *)
+  mutable last : int;  (** entry of the last hit or fill — a lookup hint *)
 }
 
 val page_bits : int

@@ -50,6 +50,146 @@ let test_tlb () =
   ignore (Tlb.access t 0x20000);  (* evicts page of 0x1000 *)
   Alcotest.(check bool) "evicted" false (Tlb.access t 0x1000)
 
+(* --- memoized lookups vs full-scan reference models --- *)
+
+(* Cache and Tlb check a remembered way / entry before their full lookup.
+   These reference models, written independently of both, scan every way
+   (every entry) on every lookup with the same LRU victim policy: the last
+   empty way if any, else the first way with the strictly smallest stamp. *)
+
+let ref_find (tags : int array) tag =
+  let rec go w = if w >= Array.length tags then -1 else if tags.(w) = tag then w else go (w + 1) in
+  go 0
+
+let ref_victim (tags : int array) (lru : int array) =
+  let empty = ref (-1) in
+  Array.iteri (fun w tag -> if tag = -1 then empty := w) tags;
+  if !empty >= 0 then !empty
+  else begin
+    let v = ref 0 in
+    Array.iteri (fun w stamp -> if stamp < lru.(!v) then v := w) lru;
+    !v
+  end
+
+type ref_model = {
+  r_sets : int;
+  r_shift : int;
+  r_tags : int array array;
+  r_lru : int array array;
+  mutable r_clock : int;
+  mutable r_accesses : int;
+  mutable r_hits : int;
+  mutable r_misses : int;
+}
+
+let ref_model ~sets ~ways ~shift =
+  {
+    r_sets = sets;
+    r_shift = shift;
+    r_tags = Array.init sets (fun _ -> Array.make ways (-1));
+    r_lru = Array.init sets (fun _ -> Array.make ways 0);
+    r_clock = 0;
+    r_accesses = 0;
+    r_hits = 0;
+    r_misses = 0;
+  }
+
+let ref_fill r set tag =
+  let v = ref_victim r.r_tags.(set) r.r_lru.(set) in
+  r.r_tags.(set).(v) <- tag;
+  r.r_lru.(set).(v) <- r.r_clock
+
+let ref_access r addr =
+  let tag = addr lsr r.r_shift in
+  let set = tag mod r.r_sets in
+  r.r_clock <- r.r_clock + 1;
+  r.r_accesses <- r.r_accesses + 1;
+  let w = ref_find r.r_tags.(set) tag in
+  if w >= 0 then begin
+    r.r_lru.(set).(w) <- r.r_clock;
+    r.r_hits <- r.r_hits + 1;
+    true
+  end
+  else begin
+    r.r_misses <- r.r_misses + 1;
+    ref_fill r set tag;
+    false
+  end
+
+let ref_insert r addr =
+  let tag = addr lsr r.r_shift in
+  let set = tag mod r.r_sets in
+  r.r_clock <- r.r_clock + 1;
+  if ref_find r.r_tags.(set) tag < 0 then ref_fill r set tag
+
+(* (size_kb, ways): 8, 24, 20, 48, 10 and 1 sets of 64-byte lines *)
+let cache_geometries = [| (1, 2); (3, 2); (5, 4); (3, 1); (2, 3); (1, 16) |]
+
+(* An op is (kind, line): kinds 0-6 access, 7-8 insert, 9 prefill a run of
+   1-5 lines (Machine.prefill's insert pattern). Repeats of the previous
+   line are frequent, so the remembered way is exercised both ways. *)
+let ops_gen =
+  QCheck.(list_of_size Gen.(int_range 0 600) (pair (int_bound 9) (int_bound 159)))
+
+let prop_cache_memo =
+  QCheck.Test.make ~name:"memoized Cache = full-scan reference" ~count:300
+    QCheck.(pair (int_bound (Array.length cache_geometries - 1)) ops_gen)
+    (fun (g, ops) ->
+      let size_kb, ways = cache_geometries.(g) in
+      let c = Cache.create ~size_kb ~ways ~line_bytes:64 in
+      let r = ref_model ~sets:c.Cache.nsets ~ways ~shift:6 in
+      let prev = ref 0 in
+      List.iteri
+        (fun i (kind, x) ->
+          let line = if x mod 3 = 0 then !prev else x in
+          prev := line;
+          let addr = (line * 64) + (x land 63) in
+          if kind <= 6 then begin
+            let got = Cache.access c addr and want = ref_access r addr in
+            if got <> want then
+              QCheck.Test.fail_reportf "op %d (access line %d): hit %b, reference %b"
+                i line got want
+          end
+          else if kind <= 8 then begin
+            Cache.insert c addr;
+            ref_insert r addr
+          end
+          else
+            for l = line to line + (x mod 5) do
+              Cache.insert c (l * 64);
+              ref_insert r (l * 64)
+            done)
+        ops;
+      let s = c.Cache.stats in
+      (s.Cache.accesses, s.hits, s.misses) = (r.r_accesses, r.r_hits, r.r_misses)
+      && c.Cache.clock = r.r_clock
+      && c.Cache.tags = r.r_tags
+      && c.Cache.lru = r.r_lru)
+
+let prop_tlb_memo =
+  QCheck.Test.make ~name:"memoized Tlb = full-scan reference" ~count:300
+    QCheck.(pair (int_bound 5) ops_gen)
+    (fun (g, ops) ->
+      let entries = [| 1; 2; 3; 5; 8; 64 |].(g) in
+      let t = Tlb.create ~entries in
+      let r = ref_model ~sets:1 ~ways:entries ~shift:Tlb.page_bits in
+      let prev = ref 0 in
+      List.iteri
+        (fun i (_, x) ->
+          let page = if x mod 3 = 0 then !prev else x in
+          prev := page;
+          let addr = (page lsl Tlb.page_bits) + (x * 37) in
+          let got = Tlb.access t addr and want = ref_access r addr in
+          if got <> want then
+            QCheck.Test.fail_reportf "op %d (page %d): hit %b, reference %b" i
+              page got want)
+        ops;
+      let s = t.Tlb.stats in
+      (s.Tlb.accesses, s.hits, s.misses) = (r.r_accesses, r.r_hits, r.r_misses)
+      && t.Tlb.clock = r.r_clock
+      && t.Tlb.pages = r.r_tags.(0)
+      && t.Tlb.lru = r.r_lru.(0))
+
 let test_branch_predictor_learns () =
   let b = Branch.create () in
   (* an always-taken branch is mispredicted at most twice, then learned *)
@@ -370,6 +510,11 @@ let () =
           Alcotest.test_case "capacity" `Quick test_cache_capacity;
         ] );
       ("tlb", [ Alcotest.test_case "basic" `Quick test_tlb ]);
+      ( "memoized lookups",
+        [
+          QCheck_alcotest.to_alcotest prop_cache_memo;
+          QCheck_alcotest.to_alcotest prop_tlb_memo;
+        ] );
       ("branch", [ Alcotest.test_case "bimodal learning" `Quick test_branch_predictor_learns ]);
       ( "config/costs/energy",
         [

@@ -10,6 +10,11 @@
        real workloads (every simulated field of the benchmark record);
    (d) the cycle-attribution profiler still reconciles exactly with
        templates on (summarize fails the run otherwise);
+   (d') the deferred block counters are exact: after every outermost call
+       the full counter record equals the per-instruction loop's, on
+       roster programs, speculation-breaking code (deopt and Class Cache
+       exception exits), nested guest calls and a guest error raised out
+       of an optimized frame;
    (e) shard-merge determinism: row envelopes merged in any completion
        order produce the identical run record, and malformed merges fail
        loudly. *)
@@ -286,6 +291,145 @@ let test_profile_reconciles_with_templates () =
   Alcotest.(check string) "profiled the right workload" "richards"
     p.Tce_metrics.Harness.p_name
 
+(* --- (d') deferred block counters --- *)
+
+module E = Tce_engine.Engine
+module Counters = Tce_machine.Counters
+
+(* Every field of the counter record, per-site object-load table included
+   (sorted: the table's iteration order is not part of its value). *)
+let counters_repr (c : Counters.t) =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let loads =
+    List.sort compare
+      (Tce_support.Int_table.fold (fun k v acc -> (k, v) :: acc)
+         c.Counters.obj_loads [])
+  in
+  Printf.sprintf
+    "by_cat=[%s] by_check_kind=[%s] guards_obj_load=%d opt_loads=%d \
+     opt_stores=%d opt_branches=%d opt_fp=%d opt_cycles=%d \
+     baseline_instrs=%d baseline_cycles=%h deopts=%d cc_exception_deopts=%d \
+     tierups=%d obj_loads=[%s] obj_loads_first_line=%d obj_loads_total=%d"
+    (ints c.Counters.by_cat) (ints c.by_check_kind) c.guards_obj_load
+    c.opt_loads c.opt_stores c.opt_branches c.opt_fp c.opt_cycles
+    c.baseline_instrs c.baseline_cycles c.deopts c.cc_exception_deopts
+    c.tierups
+    (String.concat ";"
+       (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) loads))
+    c.obj_loads_first_line c.obj_loads_total
+
+(* Run [src] on a templated and a per-instruction engine in lockstep:
+   [run_main], then [calls] outermost [bench()] calls. After each one
+   (returned or raised) the results and the full counter records must be
+   equal. Returns the templated engine and how many steps raised a guest
+   error. *)
+let lockstep ?(mechanism = true) name src ~calls =
+  let engine templates =
+    E.of_source
+      ~config:{ E.default_config with E.templates; E.mechanism }
+      src
+  in
+  let tpl = engine true and ref_ = engine false in
+  E.set_measuring tpl true;
+  E.set_measuring ref_ true;
+  let outcome f e =
+    match f e with
+    | v -> Ok v
+    | exception Tce_engine.Runtime.Guest_error msg -> Error msg
+  in
+  let errors = ref 0 in
+  let step what f =
+    let a = outcome f tpl and b = outcome f ref_ in
+    if Result.is_error a then incr errors;
+    Alcotest.(check (result int string))
+      (Printf.sprintf "%s %s: result" name what) b a;
+    Alcotest.(check string)
+      (Printf.sprintf "%s %s: counters" name what)
+      (counters_repr ref_.E.counters)
+      (counters_repr tpl.E.counters)
+  in
+  step "main" E.run_main;
+  for i = 1 to calls do
+    step (Printf.sprintf "bench() #%d" i) (fun e -> E.call_by_name e "bench" [||])
+  done;
+  (tpl, !errors)
+
+let test_counters_roster () =
+  List.iter
+    (fun name ->
+      let w = workload name in
+      ignore (lockstep name w.W.source ~calls:w.W.iterations : E.t * int))
+    (spot_names @ [ "bitops-3bit-bits-in-byte"; "controlflow-recursive" ])
+
+(* Monomorphic warm-up, then from call 9 a double stored into a speculated
+   SMI slot mid-loop while drive()'s optimized frame is live. Mechanism on,
+   that raises a Class Cache exception; off, the kept check deopts. *)
+let churn_src =
+  {|
+function P(s) { this.a = s; this.b = s + 1; this.c = s + 2; }
+var pool = array_new(0);
+function setup() { for (var i = 0; i < 16; i++) { push(pool, new P(i)); } }
+setup();
+var calls = 0;
+function rd(o) { return o.a + o.b + o.c; }
+function drive() {
+  var acc = 0;
+  for (var i = 0; i < 400; i++) {
+    var o = pool[i & 15];
+    acc = (acc + rd(o)) & 65535;
+    if (calls >= 9 && i == 200 + calls) { o.b = 0.5 + calls; }
+  }
+  return acc;
+}
+function bench() { calls = calls + 1; return drive(); }
+|}
+
+let test_counters_churn () =
+  let on, _ = lockstep "churn (mechanism on)" churn_src ~calls:14 in
+  Alcotest.(check bool) "a Class Cache exception left optimized code" true
+    (on.E.counters.Counters.cc_exception_deopts > 0);
+  let off, _ =
+    lockstep ~mechanism:false "churn (mechanism off)" churn_src ~calls:14
+  in
+  Alcotest.(check bool) "a failed check deoptimized" true
+    (off.E.counters.Counters.deopts > 0)
+
+(* Optimized recursion: every level is a nested run. *)
+let nested_src =
+  {|
+function fib(n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+function bench() {
+  var acc = 0;
+  for (var i = 0; i < 4; i++) { acc = acc + fib(12 + i); }
+  return acc;
+}
+|}
+
+let test_counters_nested () =
+  ignore (lockstep "nested calls" nested_src ~calls:10 : E.t * int)
+
+(* From call 12 the builtin called from bench()'s optimized loop raises a
+   guest error, unwinding through the live run. *)
+let error_src =
+  {|
+var calls = 0;
+function bench() {
+  calls = calls + 1;
+  var want = 0;
+  if (calls >= 12) { want = 1; }
+  var acc = 0;
+  for (var i = 0; i < 300; i++) {
+    acc = (acc + i * 3) & 65535;
+    if (i == 250) { assert_eq(want, 0); }
+  }
+  return acc;
+}
+|}
+
+let test_counters_guest_error () =
+  let _, errors = lockstep "guest error" error_src ~calls:14 in
+  Alcotest.(check int) "calls 12-14 raised" 3 errors
+
 (* --- (e) shard-merge determinism --- *)
 
 let test_positions_partition () =
@@ -425,6 +569,15 @@ let () =
             test_bit_identity_vs_per_instruction;
           Alcotest.test_case "profile reconciles with templates" `Slow
             test_profile_reconciles_with_templates;
+        ] );
+      ( "deferred",
+        [
+          Alcotest.test_case "roster programs" `Slow test_counters_roster;
+          Alcotest.test_case "deopt and Class Cache exits" `Quick
+            test_counters_churn;
+          Alcotest.test_case "nested guest calls" `Quick test_counters_nested;
+          Alcotest.test_case "guest error in optimized code" `Quick
+            test_counters_guest_error;
         ] );
       ( "shard",
         [
