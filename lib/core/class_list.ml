@@ -12,9 +12,12 @@
       elements array (paper Table 1's Prop2 / NodeList example).
     - FunctionList: per slot, the functions that speculated on it.
 
-    Entries are indexed by [ClassID ‖ Line] (8+8 bits → 2^16 entries) and sit
-    in one contiguous simulated-memory region, pointed to by a special
-    register, so Class Cache misses are real memory traffic. *)
+    Entries are indexed by [ClassID ‖ Line] (8+8 bits → 2^16 entries). Each
+    has an address in one contiguous simulated-memory range, pointed to by a
+    special register, so Class Cache misses are real memory traffic. The
+    range is reserved in [Mem], not backed: the entries themselves live in
+    OCaml records, in 256 ClassID rows of 256 lines, a row created when its
+    first entry materializes. *)
 
 open Tce_support
 
@@ -39,7 +42,9 @@ type config = { tracked_positions : int }
 let default_config = { tracked_positions = 7 }
 
 type t = {
-  entries : entry option array;  (** 2^16, lazily materialized *)
+  rows : entry option array array;
+      (** 256 ClassID rows of 256 lines; [no_row] until an entry of the
+          row materializes *)
   base_addr : int;  (** base of the Class List region in simulated memory *)
   mem : Tce_vm.Mem.t;
   tracked : int;  (** positions 1..tracked are profiled; the rest are inert *)
@@ -54,14 +59,16 @@ let index ~classid ~line =
   if line < 0 || line > 0xff then invalid_arg "Class_list: line out of range";
   (classid lsl 8) lor line
 
+let no_row : entry option array = [||]
+
 let create ?(config = default_config) mem =
   if config.tracked_positions < 1 || config.tracked_positions > 7 then
     invalid_arg "Class_list.create: tracked_positions must be in 1..7";
   let base_addr =
-    Tce_vm.Mem.allocate mem ~bytes:(65536 * entry_bytes) ~align:64
+    Tce_vm.Mem.reserve mem ~bytes:(65536 * entry_bytes) ~align:64
   in
   {
-    entries = Array.make 65536 None;
+    rows = Array.make 256 no_row;
     base_addr;
     mem;
     tracked = config.tracked_positions;
@@ -77,6 +84,23 @@ let is_tracked t ~pos = pos >= 1 && pos <= t.tracked
 
 (** Simulated address of the entry (for charging miss traffic). *)
 let entry_addr t ~classid ~line = t.base_addr + (index ~classid ~line * entry_bytes)
+
+let find t ~classid ~line =
+  let i = index ~classid ~line in
+  let row = t.rows.(i lsr 8) in
+  if row == no_row then None else row.(i land 0xff)
+
+(** [f classid line e] for every materialized entry, ClassID-major and
+    line-minor: the order of {!dump} and of the victim lists of the
+    sweeps below. Rows never materialized are skipped whole. *)
+let iter_entries t f =
+  Array.iteri
+    (fun classid row ->
+      if row != no_row then
+        Array.iteri
+          (fun line -> function None -> () | Some e -> f classid line e)
+          row)
+    t.rows
 
 let fresh_entry () =
   {
@@ -94,8 +118,7 @@ let fresh_entry () =
     profiled for the finished shape too (a documented runtime-side
     strengthening; see DESIGN.md). *)
 let rec entry t ~classid ~line =
-  let i = index ~classid ~line in
-  match t.entries.(i) with
+  match find t ~classid ~line with
   | Some e -> e
   | None ->
     let e = fresh_entry () in
@@ -106,10 +129,9 @@ let rec entry t ~classid ~line =
       e.valid_map <- pe.valid_map;
       Array.blit pe.props 0 e.props 0 8
     | _ -> ());
-    t.entries.(i) <- Some e;
+    if t.rows.(classid) == no_row then t.rows.(classid) <- Array.make 256 None;
+    t.rows.(classid).(line) <- Some e;
     e
-
-let find t ~classid ~line = t.entries.(index ~classid ~line)
 
 (** Is the slot profiled monomorphic (initialized and still valid)? Queries
     materialize the entry so transition-parent profiles are inherited even
@@ -132,7 +154,7 @@ let is_valid t ~classid ~line ~pos =
 let is_valid_peek t ~classid ~line ~pos =
   is_tracked t ~pos
   &&
-  match t.entries.(index ~classid ~line) with
+  match find t ~classid ~line with
   | None -> true
   | Some e -> Bytemap.get e.valid_map pos
 
@@ -147,7 +169,7 @@ let claimed_class_peek t ~classid ~line ~pos =
   if not (is_tracked t ~pos) then None
   else
   let rec walk classid =
-    match t.entries.(index ~classid ~line) with
+    match find t ~classid ~line with
     | Some e ->
       if Bytemap.get e.init_map pos && Bytemap.get e.valid_map pos then
         Some e.props.(pos)
@@ -162,7 +184,7 @@ let claimed_class_peek t ~classid ~line ~pos =
 (** Non-materializing oracle for the retire-path invariant check: does any
     still-installed speculation record exist for the slot? *)
 let speculates_peek t ~classid ~line ~pos ~fn =
-  match t.entries.(index ~classid ~line) with
+  match find t ~classid ~line with
   | None -> false
   | Some e -> List.mem fn e.func_lists.(pos)
 
@@ -208,19 +230,15 @@ let take_speculators t ~classid ~line ~pos =
 (** Remove [fn] from every FunctionList (used when a function is discarded
     or recompiled so stale registrations don't trigger spurious deopts). *)
 let remove_function t ~fn =
-  Array.iter
-    (function
-      | None -> ()
-      | Some e ->
-        Array.iteri
-          (fun pos l ->
-            if List.mem fn l then begin
-              e.func_lists.(pos) <- List.filter (( <> ) fn) l;
-              if e.func_lists.(pos) = [] then
-                e.speculate_map <- Bytemap.clear e.speculate_map pos
-            end)
-          e.func_lists)
-    t.entries
+  iter_entries t (fun _ _ e ->
+      Array.iteri
+        (fun pos l ->
+          if List.mem fn l then begin
+            e.func_lists.(pos) <- List.filter (( <> ) fn) l;
+            if e.func_lists.(pos) = [] then
+              e.speculate_map <- Bytemap.clear e.speculate_map pos
+          end)
+        e.func_lists)
 
 (* --- profiling update (the logic inside a Class Cache access) --- *)
 
@@ -275,7 +293,7 @@ and child_victims t children ~parent ~line ~pos ~value_classid =
     let here =
       if c = parent then []
       else
-        match t.entries.(index ~classid:c ~line) with
+        match find t ~classid:c ~line with
         | Some _ ->
           victims t ~classid:c ~line ~pos ~value_classid
             (update t ~classid:c ~line ~pos ~value_classid)
@@ -296,24 +314,18 @@ let apply t ~classid ~line ~pos ~value_classid : update_outcome * int list =
     stability. Returns the speculating functions to deoptimize. *)
 let retire_value_class t ~value_classid =
   let fns = ref [] in
-  Array.iteri
-    (fun i -> function
-      | None -> ()
-      | Some e ->
-        for pos = 1 to t.tracked do
-          if
-            Bytemap.get e.init_map pos
-            && Bytemap.get e.valid_map pos
-            && e.props.(pos) = value_classid
-          then begin
-            e.valid_map <- Bytemap.clear e.valid_map pos;
-            if Bytemap.get e.speculate_map pos then
-              fns :=
-                take_speculators t ~classid:(i lsr 8) ~line:(i land 0xff) ~pos
-                @ !fns
-          end
-        done)
-    t.entries;
+  iter_entries t (fun classid line e ->
+      for pos = 1 to t.tracked do
+        if
+          Bytemap.get e.init_map pos
+          && Bytemap.get e.valid_map pos
+          && e.props.(pos) = value_classid
+        then begin
+          e.valid_map <- Bytemap.clear e.valid_map pos;
+          if Bytemap.get e.speculate_map pos then
+            fns := take_speculators t ~classid ~line ~pos @ !fns
+        end
+      done);
   !fns
 
 (* --- pretty printing (paper Table 1) --- *)
@@ -341,9 +353,5 @@ let pp_entry ~class_name ~fn_name ppf (classid, line, e) =
 (** All materialized entries as [(classid, line, entry)]. *)
 let dump t =
   let out = ref [] in
-  Array.iteri
-    (fun i -> function
-      | None -> ()
-      | Some e -> out := (i lsr 8, i land 0xff, e) :: !out)
-    t.entries;
+  iter_entries t (fun classid line e -> out := (classid, line, e) :: !out);
   List.rev !out

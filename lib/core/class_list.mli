@@ -9,9 +9,11 @@
     speculating code. Slot 2 of line 0 profiles the type of the objects
     inside the elements array (paper Table 1's Prop2).
 
-    Entries are indexed by [ClassID ‖ Line] (2^16 entries) and live in one
-    contiguous simulated-memory region so Class Cache misses are real memory
-    traffic. *)
+    Entries are indexed by [ClassID ‖ Line] (2^16 entries). Their addresses
+    form one contiguous simulated-memory range, so Class Cache misses are
+    real memory traffic; the range is reserved ({!Tce_vm.Mem.reserve}), not
+    backed, and the entries live in 256 ClassID rows of 256 lines, each row
+    created when its first entry materializes. *)
 
 type entry = {
   mutable init_map : Tce_support.Bytemap.t;
@@ -31,7 +33,9 @@ val default_config : config
 (** [{ tracked_positions = 7 }] — the paper's geometry. *)
 
 type t = {
-  entries : entry option array;  (** 2^16, lazily materialized *)
+  rows : entry option array array;
+      (** 256 ClassID rows of 256 lines; a row is empty ([[||]]) until one
+          of its entries materializes *)
   base_addr : int;  (** base of the region in simulated memory *)
   mem : Tce_vm.Mem.t;
   tracked : int;  (** positions 1..tracked are profiled; the rest are inert *)
@@ -148,5 +152,6 @@ val pp_entry :
   class_name:(int -> string) -> fn_name:(int -> string) ->
   Format.formatter -> int * int * entry -> unit
 
-(** All materialized entries as [(classid, line, entry)]. *)
+(** All materialized entries as [(classid, line, entry)], ClassID-major
+    and line-minor. *)
 val dump : t -> (int * int * entry) list

@@ -132,9 +132,11 @@ type t = {
   obs_clock : unit -> int;
       (** deterministic trace clock: machine cycles + analytic baseline
           cycles (also installed as the trace's clock) *)
-  mutable regs_pool : Tce_vm.Value.t array list;
-      (** free list of interpreter register files (one [Array.make] per
-          guest call otherwise) *)
+  mutable regs_pool : Tce_vm.Value.t array array;
+      (** stack of free interpreter register files,
+          [regs_pool.(0 .. regs_free-1)] (one [Array.make] per guest call
+          otherwise) *)
+  mutable regs_free : int;
   binop_cell : Tce_jit.Feedback.binop_fb ref;
       (** reusable out-cell for {!Runtime.eval_binop_cell}; consumed
           immediately after each call, so sharing one per engine is safe *)
@@ -211,7 +213,8 @@ let create ?(config = default_config) (prog : Bytecode.program) : t =
     globals_base;
     snap = Tce_obs.Snapshot.create ~every:config.obs_sample_cycles;
     obs_clock;
-    regs_pool = [];
+    regs_pool = [||];
+    regs_free = 0;
     binop_cell = ref Tce_jit.Feedback.Bf_smi;
   }
 
@@ -722,6 +725,17 @@ let try_optimize t (fn : Bytecode.func) =
 
 (* --- the interpreter --- *)
 
+(* Push [regs] back on the free stack, growing it when full (the stack is
+   as deep as the deepest interpreted-call nesting seen so far). *)
+let release_regs t regs =
+  let n = Array.length t.regs_pool in
+  if t.regs_free = n then
+    t.regs_pool <-
+      Array.init (max 8 (2 * n)) (fun i ->
+          if i < n then t.regs_pool.(i) else regs);
+  t.regs_pool.(t.regs_free) <- regs;
+  t.regs_free <- t.regs_free + 1
+
 let rec call_function t fid (args : Value.t array) : Value.t =
   obs_tick t;
   let fn = t.prog.Bytecode.funcs.(fid) in
@@ -757,16 +771,20 @@ and interp_call t (fn : Bytecode.func) (args : Value.t array) : Value.t =
      (registers are immediate [Value.t]s, so reuse is GC-transparent);
      the used prefix is re-initialized to the fresh-allocation state *)
   let regs =
-    match t.regs_pool with
-    | a :: rest when Array.length a >= n ->
-      t.regs_pool <- rest;
-      Array.fill a 0 n t.heap.Heap.null_v;
-      a
-    | _ -> Array.make n t.heap.Heap.null_v
+    if t.regs_free > 0 then begin
+      t.regs_free <- t.regs_free - 1;
+      let a = t.regs_pool.(t.regs_free) in
+      if Array.length a >= n then begin
+        Array.fill a 0 n t.heap.Heap.null_v;
+        a
+      end
+      else Array.make n t.heap.Heap.null_v
+    end
+    else Array.make n t.heap.Heap.null_v
   in
   Array.blit args 0 regs 0 (min (Array.length args) fn.Bytecode.n_regs);
   let r = interp_from t fn regs 0 in
-  t.regs_pool <- regs :: t.regs_pool;
+  release_regs t regs;
   r
 
 and construct t fid (args : Value.t array) : Value.t =

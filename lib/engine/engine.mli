@@ -85,8 +85,10 @@ type t = {
   globals_base : int;
   snap : Tce_obs.Snapshot.t;  (** periodic counter sampler *)
   obs_clock : unit -> int;  (** deterministic trace clock *)
-  mutable regs_pool : Tce_vm.Value.t array list;
-      (** free list of interpreter register files *)
+  mutable regs_pool : Tce_vm.Value.t array array;
+      (** stack of free interpreter register files,
+          [regs_pool.(0 .. regs_free-1)] *)
+  mutable regs_free : int;
   binop_cell : Tce_jit.Feedback.binop_fb ref;
       (** reusable out-cell for {!Runtime.eval_binop_cell} *)
 }

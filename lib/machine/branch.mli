@@ -1,9 +1,9 @@
-(** Bimodal branch predictor: 2-bit saturating counters indexed by a hash of
-    (code id, pc). *)
+(** Bimodal branch predictor: 2-bit saturating counters (one byte each)
+    indexed by a hash of (code id, pc). *)
 
 type stats = { mutable branches : int; mutable mispredicts : int }
 
-type t = private { table : int array; mask : int; stats : stats }
+type t = private { table : Bytes.t; mask : int; stats : stats }
 
 val create : ?bits:int -> unit -> t
 

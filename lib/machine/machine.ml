@@ -836,10 +836,11 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
            let base = regs.(rb) in
            let addr = base + off in
            let start = imax d ready.(rb) in
-           let line_base = Tce_vm.Layout.line_base_of_addr addr in
-           let w = Mem.load mem line_base in
-           if Value.is_smi base || w <> expected then
-             finish (do_deopt t host f regs fregs deopt_id ~result:None)
+           (* a SMI has no class word: test it before reading one *)
+           if
+             Value.is_smi base
+             || Mem.load mem (Tce_vm.Layout.line_base_of_addr addr) <> expected
+           then finish (do_deopt t host f regs fregs deopt_id ~result:None)
            else begin
              regs.(rd) <- Mem.load mem addr;
              ready.(rd) <- daccess t ~start addr;
@@ -1352,10 +1353,11 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) ~(knext : tstep)
       let base = regs.(rb) in
       let addr = base + off in
       let start = imax d ready.(rb) in
-      let line_base = Tce_vm.Layout.line_base_of_addr addr in
-      let w = Mem.load mem line_base in
-      if Value.is_smi base || w <> expected then
-        t_deopt t env f deopt_id ~result:None
+      (* a SMI has no class word: test it before reading one *)
+      if
+        Value.is_smi base
+        || Mem.load mem (Tce_vm.Layout.line_base_of_addr addr) <> expected
+      then t_deopt t env f deopt_id ~result:None
       else begin
         regs.(rd) <- Mem.load mem addr;
         ready.(rd) <- daccess t ~start addr;

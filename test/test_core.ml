@@ -318,6 +318,64 @@ let test_entry_addr_distinct () =
   Alcotest.(check bool) "addresses distinct" true (a1 <> a2 && a2 <> a3 && a1 <> a3);
   Alcotest.(check int) "entry stride" CL.entry_bytes (a2 - a1)
 
+(* Simulated addresses are pinned: the Class List range is reserved at the
+   address an allocation of the same size would get, so entry addresses,
+   the oddballs below the range and every allocation after it are
+   unchanged. *)
+let test_addresses_pinned () =
+  let heap = Tce_vm.Heap.create () in
+  let mem = heap.Tce_vm.Heap.mem in
+  let cl = CL.create mem in
+  let ptr v = Tce_vm.Value.ptr_addr v in
+  Alcotest.(check int) "true" 0x10140 (ptr heap.Tce_vm.Heap.true_v);
+  Alcotest.(check int) "null" 0x101c0 (ptr heap.Tce_vm.Heap.null_v);
+  List.iter
+    (fun (classid, line, addr) ->
+      Alcotest.(check int)
+        (Printf.sprintf "entry %d/%d" classid line)
+        addr
+        (CL.entry_addr cl ~classid ~line))
+    [ (0, 0, 0x10200); (1, 0, 0x11200); (1, 1, 0x11210); (255, 255, 0x1101f0) ];
+  Alcotest.(check int) "first allocation after the range" 0x110200
+    (Tce_vm.Mem.allocate mem ~bytes:24 ~align:64);
+  Alcotest.(check int) "second allocation" 0x110220
+    (Tce_vm.Mem.allocate mem ~bytes:16 ~align:16);
+  Alcotest.(check int) "oddball class word still reads"
+    (Tce_vm.Layout.classid_of_class_word
+       (Tce_vm.Mem.load mem (ptr heap.Tce_vm.Heap.true_v)))
+    (Tce_vm.Heap.classid_of heap heap.Tce_vm.Heap.true_v)
+
+(* Sweeps visit entries ClassID-major, line-minor, however they were
+   materialized: [dump] lists them in that order, and the victims of
+   [retire_value_class] come out in that order reversed (each entry's
+   speculators are prepended as the sweep reaches it). *)
+let test_sweep_order () =
+  let cl = mk () in
+  let coords = [ (9, 3); (2, 7); (200, 0); (9, 0); (2, 0); (0, 255) ] in
+  List.iteri
+    (fun k (classid, line) ->
+      ignore (CL.update cl ~classid ~line ~pos:1 ~value_classid:42);
+      CL.add_speculation cl ~classid ~line ~pos:1 ~fn:(100 + k);
+      if k mod 2 = 0 then begin
+        ignore (CL.update cl ~classid ~line ~pos:3 ~value_classid:42);
+        CL.add_speculation cl ~classid ~line ~pos:3 ~fn:(200 + k)
+      end)
+    coords;
+  Alcotest.(check (list (pair int int)))
+    "dump order"
+    [ (0, 255); (2, 0); (2, 7); (9, 0); (9, 3); (200, 0) ]
+    (List.map (fun (c, l, _) -> (c, l)) (CL.dump cl));
+  Alcotest.(check bool) "unmaterialized row" true (CL.find cl ~classid:77 ~line:5 = None);
+  Alcotest.(check bool) "unmaterialized line of a row" true
+    (CL.find cl ~classid:9 ~line:1 = None);
+  CL.remove_function cl ~fn:101;
+  Alcotest.(check bool) "removed speculator's bit cleared" false
+    (Tce_support.Bytemap.get (CL.entry cl ~classid:2 ~line:7).CL.speculate_map 1);
+  Alcotest.(check (list int))
+    "victim order"
+    [ 202; 102; 200; 100; 103; 204; 104; 105 ]
+    (CL.retire_value_class cl ~value_classid:42)
+
 let test_dump_lists_materialized_entries () =
   let cl = mk () in
   ignore (CL.update cl ~classid:7 ~line:1 ~pos:3 ~value_classid:4);
@@ -392,6 +450,8 @@ let () =
             test_add_speculation_idempotent;
           Alcotest.test_case "entry addresses" `Quick test_entry_addr_distinct;
           Alcotest.test_case "dump" `Quick test_dump_lists_materialized_entries;
+          Alcotest.test_case "pinned addresses" `Quick test_addresses_pinned;
+          Alcotest.test_case "sweep order" `Quick test_sweep_order;
           Alcotest.test_case "mass invalidation" `Quick test_mass_invalidation;
           QCheck_alcotest.to_alcotest prop_take_speculators_drains;
         ] );

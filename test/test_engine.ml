@@ -406,6 +406,49 @@ let test_hot_function_tiers_up () =
   let f = Option.get (Tce_jit.Bytecode.find_func t.E.prog "f") in
   Alcotest.(check bool) "f was optimized" true (f.Tce_jit.Bytecode.opt <> None)
 
+(* Optimized getx reads [p.x] behind a class check. Called on a SMI, every
+   configuration must report the same guest error as the interpreter:
+   Checked Load has to test for a SMI before it reads a class word, since
+   a SMI's payload is no address (5 lies below the heap base; 2^30 lies far
+   past the end of the heap). *)
+let test_checked_load_smi_receiver () =
+  let src =
+    "function P(x) { this.x = x; }\n\
+     function getx(p) { return p.x; }\n\
+     var o = new P(1);\n\
+     var s = 0;\n\
+     for (var i = 0; i < 200; i++) { s = s + getx(o); }\n\
+     print(s);"
+  in
+  let outcome config n =
+    let t = E.of_source ~config src in
+    ignore (E.run_main t);
+    let getx = Option.get (Tce_jit.Bytecode.find_func t.E.prog "getx") in
+    let optimized = getx.Tce_jit.Bytecode.opt <> None in
+    match E.call_by_name t "getx" [| Tce_vm.Value.smi n |] with
+    | _ -> (optimized, "no error")
+    | exception E.Engine_error m -> (optimized, m)
+    | exception e -> (optimized, Printexc.to_string e)
+  in
+  let expected = "property access on SMI: x" in
+  List.iter
+    (fun n ->
+      Alcotest.(check string)
+        (Printf.sprintf "interpreter, SMI %d" n)
+        expected
+        (snd (outcome interp_config n));
+      List.iter
+        (fun (name, config) ->
+          let optimized, got = outcome config n in
+          Alcotest.(check bool) (name ^ ": getx optimized") true optimized;
+          Alcotest.(check string) (Printf.sprintf "%s, SMI %d" name n) expected got)
+        [
+          ("mechanism off", { E.default_config with E.mechanism = false });
+          ( "Checked Load",
+            { E.default_config with E.mechanism = false; checked_load = true } );
+        ])
+    [ 5; 1 lsl 30 ]
+
 let test_deopt_on_type_change () =
   (* checks fail when types change; execution must fall back and stay right *)
   check_all_modes "smi -> double phase change"
@@ -669,6 +712,8 @@ let () =
         [
           Alcotest.test_case "tier-up" `Quick test_hot_function_tiers_up;
           Alcotest.test_case "deopt on type change" `Quick test_deopt_on_type_change;
+          Alcotest.test_case "Checked Load on a SMI receiver" `Quick
+            test_checked_load_smi_receiver;
           Alcotest.test_case "misspeculation exception" `Quick
             test_misspeculation_exception;
           Alcotest.test_case "OSR out of invalidated frame" `Quick

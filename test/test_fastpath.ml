@@ -543,6 +543,23 @@ let test_alloc_budget () =
           name got (2. *. measured) measured)
     alloc_budget
 
+(* Host words one [Engine.create] allocates, for an already compiled
+   program. Measured (OCaml 5.1, release profile) on richards: 48,751
+   words: the 8k-word initial [Mem] backing, the 8k-word Bytes table of
+   the branch predictor, and the cache, TLB and heap side tables. Before
+   the Class List range was reserved instead of backed it was 625,956. *)
+let create_budget_words = 2 * 48_751
+
+let test_create_budget () =
+  let w = Option.get (Tce_workloads.Workloads.by_name "richards") in
+  let prog = Tce_jit.Bc_compile.compile_source w.Tce_workloads.Workload.source in
+  let w0 = host_words () in
+  ignore (Sys.opaque_identity (Tce_engine.Engine.create prog));
+  let words = host_words () -. w0 -. probe_words in
+  if words > float_of_int create_budget_words then
+    Alcotest.failf "Engine.create allocated %.0f words, budget %d (2x the measured %d)"
+      words create_budget_words (create_budget_words / 2)
+
 let () =
   Alcotest.run "fastpath"
     [
@@ -571,5 +588,7 @@ let () =
         [
           Alcotest.test_case "optimized-tier allocation budget" `Slow
             test_alloc_budget;
+          Alcotest.test_case "Engine.create allocation budget" `Quick
+            test_create_budget;
         ] );
     ]

@@ -119,6 +119,137 @@ let test_mem_bump_growth () =
   Alcotest.(check bool) "addresses distinct" true
     (List.length (List.sort_uniq compare addrs) = 100)
 
+(* Differential of [Mem] against a flat reference model: one hash table of
+   words, zero where never stored. [reserve] only changes where [Mem] keeps
+   a word, so both must agree on every address, every loaded word and every
+   rejected access, whatever the mix of allocations and reservations. *)
+module Flat = struct
+  type t = { cells : (int, int) Hashtbl.t; mutable next_free : int; base : int }
+
+  let create () = { cells = Hashtbl.create 64; next_free = Mem.default_base; base = Mem.default_base }
+
+  let check t addr =
+    if addr land 7 <> 0 || addr < t.base then invalid_arg "Flat: bad address"
+
+  let bump t ~bytes ~align =
+    if align <= 0 || align land (align - 1) <> 0 then invalid_arg "Flat: bad align";
+    let addr = (t.next_free + align - 1) land lnot (align - 1) in
+    t.next_free <- addr + bytes;
+    addr
+
+  let load t addr =
+    check t addr;
+    Option.value ~default:0 (Hashtbl.find_opt t.cells addr)
+
+  let store t addr v =
+    check t addr;
+    Hashtbl.replace t.cells addr v
+end
+
+type mem_op =
+  | Allocate of int * int  (** bytes, align *)
+  | Reserve of int * int
+  | Store of int * int * int
+      (** anchor, byte offset from it, value; anchor [i] is the [i mod n]th
+          of the [n] addresses returned so far, the base included *)
+  | Load of int * int
+
+let pp_mem_op = function
+  | Allocate (b, a) -> Printf.sprintf "allocate %d/%d" b a
+  | Reserve (b, a) -> Printf.sprintf "reserve %d/%d" b a
+  | Store (i, o, v) -> Printf.sprintf "store @%d%+d := %d" i o v
+  | Load (i, o) -> Printf.sprintf "load @%d%+d" i o
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let align = oneofl [ 0; 1; 3; 4; 8; 16; 64 ] in
+  (* mostly aligned, reaching from below the anchor to well past the bump
+     pointer; one in eight misaligned *)
+  let offset =
+    map2
+      (fun w m -> (8 * w) + m)
+      (int_range (-8) 700)
+      (frequency [ (7, return 0); (1, int_range 1 7) ])
+  in
+  frequency
+    [
+      (3, map2 (fun b a -> Allocate (b, a)) (int_bound 600) align);
+      ( 1,
+        map2
+          (fun b a -> Reserve (b, a))
+          (oneof [ int_bound 600; int_range 4096 (1 lsl 20) ])
+          align );
+      (4, map3 (fun i o v -> Store (i, o, v)) nat offset (int_range (-3) 1000));
+      (4, map2 (fun i o -> Load (i, o)) nat offset);
+    ]
+
+let prop_mem_matches_flat =
+  QCheck.Test.make ~name:"Mem agrees with a flat word array" ~count:500
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map pp_mem_op ops)))
+       QCheck.Gen.(pair (int_bound 64) (list_size (int_range 1 80) gen_mem_op)))
+    (fun (capacity_words, ops) ->
+      let m = Mem.create ~capacity_words () in
+      let f = Flat.create () in
+      let anchors = ref [| Mem.default_base |] in
+      let anchor i = !anchors.(i mod Array.length !anchors) in
+      let outcome g = match g () with v -> Some v | exception Invalid_argument _ -> None in
+      let same a b = if a <> b then QCheck.Test.fail_report "Mem and the flat model disagree" in
+      let address got want =
+        same got want;
+        Option.iter (fun a -> anchors := Array.append !anchors [| a |]) got
+      in
+      List.iter
+        (function
+          | Allocate (bytes, align) ->
+            address
+              (outcome (fun () -> Mem.allocate m ~bytes ~align))
+              (outcome (fun () -> Flat.bump f ~bytes ~align))
+          | Reserve (bytes, align) ->
+            address
+              (outcome (fun () -> Mem.reserve m ~bytes ~align))
+              (outcome (fun () -> Flat.bump f ~bytes ~align))
+          | Store (i, o, v) ->
+            let a = anchor i + o in
+            same (outcome (fun () -> Mem.store m a v)) (outcome (fun () -> Flat.store f a v))
+          | Load (i, o) ->
+            let a = anchor i + o in
+            same (outcome (fun () -> Mem.load m a)) (outcome (fun () -> Flat.load f a)))
+        ops;
+      same (Mem.allocated_bytes m) (f.Flat.next_free - f.Flat.base);
+      (* every word ever stored, and its neighbours, still reads back *)
+      Hashtbl.iter
+        (fun a _ ->
+          List.iter
+            (fun a -> same (outcome (fun () -> Mem.load m a)) (outcome (fun () -> Flat.load f a)))
+            [ a - 8; a; a + 8 ])
+        f.Flat.cells;
+      true)
+
+(* The reserved range keeps its address and backs nothing: words in it
+   read 0 until stored, a store there round-trips, and loads past the end
+   of the backing array answer 0. *)
+let test_mem_reserve () =
+  let m = Mem.create () in
+  let low = Mem.allocate m ~bytes:64 ~align:64 in
+  Mem.store m low 11;
+  let r = Mem.reserve m ~bytes:(1 lsl 20) ~align:64 in
+  Alcotest.(check int) "reserved where an allocation would be" (low + 64) r;
+  let after = Mem.allocate m ~bytes:8 ~align:64 in
+  Alcotest.(check int) "later allocations keep their addresses"
+    (r + (1 lsl 20)) after;
+  Alcotest.(check int) "low word survives the reservation" 11 (Mem.load m low);
+  Alcotest.(check int) "reserved word reads 0" 0 (Mem.load m (r + 4096));
+  Mem.store m (r + 4096) 7;
+  Alcotest.(check int) "reserved word round-trips" 7 (Mem.load m (r + 4096));
+  Mem.store m after 9;
+  Alcotest.(check int) "word above the range" 9 (Mem.load m after);
+  Alcotest.(check int) "load far past the end" 0 (Mem.load m (after + (1 lsl 30)));
+  Alcotest.(check bool) "below base rejected" true
+    (try ignore (Mem.load m 0); false with Invalid_argument _ -> true)
+
 (* --- hidden classes --- *)
 
 let mk_heap () = Heap.create ()
@@ -498,6 +629,8 @@ let () =
         [
           Alcotest.test_case "read/write" `Quick test_mem_rw;
           Alcotest.test_case "bump growth" `Quick test_mem_bump_growth;
+          Alcotest.test_case "reserved range" `Quick test_mem_reserve;
+          QCheck_alcotest.to_alcotest prop_mem_matches_flat;
         ] );
       ( "hidden classes",
         [
