@@ -144,6 +144,8 @@ type t = {
 
 let max_depth = 2000
 
+let arg = Runtime.arg
+
 (* --- construction --- *)
 
 let create ?(config = default_config) (prog : Bytecode.program) : t =
@@ -375,10 +377,12 @@ let invalidate_opt t opt_ids =
       | _ -> ())
     opt_ids
 
+(* Asked after every guest call and checked stub call from optimized
+   code: [Hashtbl.find], not [find_opt], whose [Some] would be allocated. *)
 let is_invalidated t oid =
-  match Hashtbl.find_opt t.opt_table oid with
-  | Some code -> code.Lir.invalidated
-  | None -> true
+  match Hashtbl.find t.opt_table oid with
+  | code -> code.Lir.invalidated
+  | exception Not_found -> true
 
 (* --- retire-path invariant check (fault campaigns only) --- *)
 
@@ -467,22 +471,23 @@ let elem_value_classid t obj v =
 
 (* --- property / element accessors with IC + profiling --- *)
 
+(* The feedback vector of stub calls: never indexed, as their slot is -1. *)
+let no_fb : Feedback.t = [||]
+
 let record_obj_load t ~classid ~line ~pos =
   if measuring t then
     Tce_machine.Counters.record_obj_load t.counters ~classid ~line ~pos
 
 (** Baseline GetProp: feedback update + load. [fb_slot] < 0 for feedback-less
-    megamorphic stub calls from optimized code. *)
+    megamorphic stub calls from optimized code, which pass {!no_fb}. *)
 (* Not a closure inside [get_prop]: the record path runs per property
    access, and a per-call closure allocation there is measurable. *)
-let record_prop_load t (fb : Feedback.t option) fb_slot ~classid ~slot =
-  match fb with
-  | Some fb when fb_slot >= 0 ->
+let record_prop_load t (fb : Feedback.t) fb_slot ~classid ~slot =
+  if fb_slot >= 0 then
     emit_ic t ~site:"prop-load" ~slot:fb_slot
       (Feedback.record_prop_simple fb fb_slot ~classid ~slot)
-  | _ -> ()
 
-let get_prop t (fb : Feedback.t option) fb_slot obj name : Value.t =
+let get_prop t (fb : Feedback.t) fb_slot obj name : Value.t =
   let h = t.heap in
   if Value.is_smi h.Heap.null_v then assert false;
   if Value.is_smi obj then raise (Engine_error ("property access on SMI: " ^ name));
@@ -505,12 +510,10 @@ let get_prop t (fb : Feedback.t option) fb_slot obj name : Value.t =
       Heap.load_slot h obj slot
     | None ->
       (* absent property: go megamorphic, read as null (JS undefined) *)
-      (match fb with
-      | Some fb when fb_slot >= 0 -> fb.(fb_slot) <- Feedback.S_prop Feedback.Ic_mega
-      | _ -> ());
+      if fb_slot >= 0 then fb.(fb_slot) <- Feedback.S_prop Feedback.Ic_mega;
       h.Heap.null_v)
 
-let set_prop t (fb : Feedback.t option) fb_slot obj name v =
+let set_prop t (fb : Feedback.t) fb_slot obj name v =
   let h = t.heap in
   if Value.is_smi obj then raise (Engine_error ("property store on SMI: " ^ name));
   if not (Heap.is_object h obj) then
@@ -518,8 +521,7 @@ let set_prop t (fb : Feedback.t option) fb_slot obj name v =
   let c0 = Heap.class_of_addr h (Value.ptr_addr obj) in
   let slot, transitioned = Heap.set_prop h obj name v in
   let c1 = Heap.class_of_addr h (Value.ptr_addr obj) in
-  (match fb with
-  | Some fb when fb_slot >= 0 ->
+  if fb_slot >= 0 then
     emit_ic t ~site:"prop-store" ~slot:fb_slot
       (if transitioned then
          Feedback.record_prop fb fb_slot
@@ -530,8 +532,7 @@ let set_prop t (fb : Feedback.t option) fb_slot obj name v =
            }
        else
          Feedback.record_prop_simple fb fb_slot ~classid:c0.Hidden_class.id
-           ~slot)
-  | _ -> ());
+           ~slot);
   if transitioned then
     charge_baseline_extra t Tce_prof.Profile.extra_transition
       Tce_machine.Costs.transition_instrs;
@@ -539,7 +540,7 @@ let set_prop t (fb : Feedback.t option) fb_slot obj name v =
   fire_store_event t ~classid:c1.Hidden_class.id ~line ~pos
     ~value_classid:(Heap.classid_of h v)
 
-let get_elem t (fb : Feedback.t option) fb_slot obj idx : Value.t =
+let get_elem t (fb : Feedback.t) fb_slot obj idx : Value.t =
   let h = t.heap in
   if Value.is_smi obj then raise (Engine_error "indexed access on SMI");
   let c = Heap.class_of_addr h (Value.ptr_addr obj) in
@@ -555,17 +556,15 @@ let get_elem t (fb : Feedback.t option) fb_slot obj idx : Value.t =
       if Value.is_smi idx then Value.smi_value idx
       else int_of_float (Runtime.to_number h idx)
     in
-    (match fb with
-    | Some fb when fb_slot >= 0 ->
+    if fb_slot >= 0 then
       emit_ic t ~site:"elem-load" ~slot:fb_slot
-        (Feedback.record_elem fb fb_slot ~classid:c.Hidden_class.id)
-    | _ -> ());
+        (Feedback.record_elem fb fb_slot ~classid:c.Hidden_class.id);
     record_obj_load t ~classid:c.Hidden_class.id ~line:0
       ~pos:Layout.elements_ptr_slot;
     Heap.elem_get h obj i
   end
 
-let set_elem t (fb : Feedback.t option) fb_slot obj idx v =
+let set_elem t (fb : Feedback.t) fb_slot obj idx v =
   let h = t.heap in
   if Value.is_smi obj || not (Heap.is_object h obj) then
     raise (Engine_error "indexed store on non-object");
@@ -574,11 +573,9 @@ let set_elem t (fb : Feedback.t option) fb_slot obj idx v =
     if Value.is_smi idx then Value.smi_value idx
     else int_of_float (Runtime.to_number h idx)
   in
-  (match fb with
-  | Some fb when fb_slot >= 0 ->
+  if fb_slot >= 0 then
     emit_ic t ~site:"elem-store" ~slot:fb_slot
-      (Feedback.record_elem fb fb_slot ~classid:c.Hidden_class.id)
-  | _ -> ());
+      (Feedback.record_elem fb fb_slot ~classid:c.Hidden_class.id);
   let slow = Heap.elem_set h obj i v in
   if slow then begin
     charge_baseline_extra t Tce_prof.Profile.extra_elem_grow 40;
@@ -736,7 +733,12 @@ let release_regs t regs =
   t.regs_pool.(t.regs_free) <- regs;
   t.regs_free <- t.regs_free + 1
 
-let rec call_function t fid (args : Value.t array) : Value.t =
+(* Guest calls take their arguments as a view — [this] and
+   [src.(argr.(i))], [first <= i < length argr] — copied into the callee's
+   register file on entry ({!Tce_machine.Machine.enter_args}); no call
+   path builds an argument vector. *)
+let rec call_function t fid this (src : Value.t array) (argr : int array)
+    first : Value.t =
   obs_tick t;
   let fn = t.prog.Bytecode.funcs.(fid) in
   fn.Bytecode.call_count <- fn.Bytecode.call_count + 1;
@@ -754,10 +756,10 @@ let rec call_function t fid (args : Value.t array) : Value.t =
         && stale_speculation t code.Lir.opt_id
       then begin
         detect_stale t code.Lir.opt_id ~cause:"stale-speculation-at-entry";
-        interp_call t fn args
+        interp_call t fn this src argr first
       end
-      else Tce_machine.Machine.run t.mach (host t) code args
-    | _ -> interp_call t fn args
+      else Tce_machine.Machine.run t.mach (host t) code this src argr first
+    | _ -> interp_call t fn this src argr first
   in
   t.depth <- t.depth - 1;
   result
@@ -765,7 +767,7 @@ let rec call_function t fid (args : Value.t array) : Value.t =
 (* Run [fn] in the interpreter from its entry. Top-level rather than a
    local closure in [call_function], which would be allocated on every
    guest call, optimized ones included. *)
-and interp_call t (fn : Bytecode.func) (args : Value.t array) : Value.t =
+and interp_call t (fn : Bytecode.func) this src argr first : Value.t =
   let n = max fn.Bytecode.n_regs 1 in
   (* pooled register file: recycle instead of one [Array.make] per call
      (registers are immediate [Value.t]s, so reuse is GC-transparent);
@@ -782,12 +784,14 @@ and interp_call t (fn : Bytecode.func) (args : Value.t array) : Value.t =
     end
     else Array.make n t.heap.Heap.null_v
   in
-  Array.blit args 0 regs 0 (min (Array.length args) fn.Bytecode.n_regs);
+  ignore
+    (Tce_machine.Machine.enter_args regs fn.Bytecode.n_regs this src argr
+       first);
   let r = interp_from t fn regs 0 in
   release_regs t regs;
   r
 
-and construct t fid (args : Value.t array) : Value.t =
+and construct t fid src argr : Value.t =
   let ctor = t.prog.Bytecode.funcs.(fid) in
   if not ctor.Bytecode.is_ctor then
     raise (Engine_error ("new on non-constructor " ^ ctor.Bytecode.name));
@@ -803,7 +807,7 @@ and construct t fid (args : Value.t array) : Value.t =
       c
   in
   let this = Heap.alloc_object t.heap base ~reserve_props:ctor.Bytecode.reserve_props in
-  call_function t fid (Array.append [| this |] args)
+  call_function t fid this src argr 0
 
 and bc_label (op : Bytecode.bc) =
   match op with
@@ -861,9 +865,6 @@ and interp_from t (fn : Bytecode.func) (regs : Value.t array) start_pc : Value.t
      never mid-execution, so it is loop-invariant here *)
   let msr = measuring t in
   let mach = t.mach in
-  (* the feedback vector as the property paths take it, allocated once per
-     activation instead of once per property access *)
-  let sfb = Some fb in
   while !running do
     let pc0 = !pc in
     let op = code.(pc0) in
@@ -907,16 +908,16 @@ and interp_from t (fn : Bytecode.func) (regs : Value.t array) start_pc : Value.t
       regs.(d) <- Runtime.eval_unop h uop regs.(a);
       pc := next
     | GetProp (d, o, name, slot) ->
-      regs.(d) <- get_prop t sfb slot regs.(o) name;
+      regs.(d) <- get_prop t fb slot regs.(o) name;
       pc := next
     | SetProp (o, name, v, slot) ->
-      set_prop t sfb slot regs.(o) name regs.(v);
+      set_prop t fb slot regs.(o) name regs.(v);
       pc := next
     | GetElem (d, o, i, slot) ->
-      regs.(d) <- get_elem t sfb slot regs.(o) regs.(i);
+      regs.(d) <- get_elem t fb slot regs.(o) regs.(i);
       pc := next
     | SetElem (o, i, v, slot) ->
-      set_elem t sfb slot regs.(o) regs.(i) regs.(v);
+      set_elem t fb slot regs.(o) regs.(i) regs.(v);
       pc := next
     | GetGlobal (d, i) ->
       regs.(d) <- Mem.load h.Heap.mem (t.globals_base + (8 * i));
@@ -947,16 +948,13 @@ and interp_from t (fn : Bytecode.func) (regs : Value.t array) start_pc : Value.t
       regs.(d) <- Heap.alloc_array h ~capacity:(max cap 4) Hidden_class.E_smi;
       pc := next
     | Call (d, fid, argr) ->
-      let args =
-        Array.append [| h.Heap.null_v |] (Tce_machine.Machine.gather regs argr)
-      in
-      regs.(d) <- call_function t fid args;
+      regs.(d) <- call_function t fid h.Heap.null_v regs argr 0;
       pc := next
     | CallB (d, b, argr) ->
-      regs.(d) <- apply_builtin t b (Tce_machine.Machine.gather regs argr);
+      regs.(d) <- apply_builtin t b regs argr;
       pc := next
     | New (d, fid, argr) ->
-      regs.(d) <- construct t fid (Tce_machine.Machine.gather regs argr);
+      regs.(d) <- construct t fid regs argr;
       pc := next
     | Jump target ->
       if target <= pc0 then
@@ -990,7 +988,9 @@ and host t : Tce_machine.Machine.host =
   | None ->
     let h =
       {
-        Tce_machine.Machine.call_fn = (fun fid args -> call_function t fid args);
+        Tce_machine.Machine.call_fn =
+          (fun fid this src argr first ->
+            call_function t fid this src argr first);
         resume =
           (fun ~opt_id ~bc_pc ~regs ~result ->
             (* resume on the shadow bytecode the code was compiled from *)
@@ -1004,7 +1004,8 @@ and host t : Tce_machine.Machine.host =
             | Some (into, v) when into >= 0 -> r.(into) <- v
             | _ -> ());
             interp_from t fn r bc_pc);
-        rt_call = (fun rt args fargs -> rt_call t rt args fargs);
+        rt_call =
+          (fun rt src argr fsrc fargr -> rt_call t rt src argr fsrc fargr);
         on_cc_exception =
           (fun (i : Tce_machine.Machine.cc_exn_info) ->
             if Tce_attr.Ledger.on t.cfg.attr then
@@ -1047,21 +1048,22 @@ and host t : Tce_machine.Machine.host =
 
 (** Builtins, with [push] routed through the engine's element store so its
     writes fire Class Cache / oracle events like any other store. *)
-and apply_builtin t (b : Builtins.t) (args : Value.t array) : Value.t =
+and apply_builtin t (b : Builtins.t) src argr : Value.t =
   match b with
   | Builtins.B_push ->
-    let obj = args.(0) in
+    let obj = arg src argr 0 in
     if not (Heap.is_object t.heap obj) then
       raise (Engine_error "push: not an array");
     let len = Heap.elements_len t.heap obj in
-    set_elem t None (-1) obj (Value.smi len) args.(1);
+    set_elem t no_fb (-1) obj (Value.smi len) (arg src argr 1);
     Value.smi (len + 1)
-  | _ -> Runtime.builtin_apply t.heap t.io b args
+  | _ -> Runtime.builtin_apply t.heap t.io b src argr
 
-(** A runtime stub, executed functionally. The double result goes to the
-    machine's [rt_fres] cell: the FP result of [Rt_fmod], else the numeric
-    value of the returned [Value.t] (0.0 for non-numbers). *)
-and rt_call t (rt : Lir.rt) (args : Value.t array) (fargs : float array) :
+(** A runtime stub, executed functionally on the arguments
+    [src.(argr.(i))] and the doubles [fsrc.(fargr.(i))]. The double result
+    goes to the machine's [rt_fres] cell: the FP result of [Rt_fmod], else
+    the numeric value of the returned [Value.t] (0.0 for non-numbers). *)
+and rt_call t (rt : Lir.rt) src argr (fsrc : float array) (fargr : int array) :
     Value.t =
   let h = t.heap in
   match rt with
@@ -1072,26 +1074,27 @@ and rt_call t (rt : Lir.rt) (args : Value.t array) (fargs : float array) :
          ~reserve_props:reserve)
   | Rt_alloc_array (ek, cap) ->
     ret_alloc t (Heap.alloc_array h ~capacity:(max cap 1) ek)
-  | Rt_box_double -> ret_alloc t (Heap.number h fargs.(0))
-  | Rt_generic_get_prop name -> ret t (get_prop t None (-1) args.(0) name)
+  | Rt_box_double -> ret_alloc t (Heap.number h fsrc.(fargr.(0)))
+  | Rt_generic_get_prop name ->
+    ret t (get_prop t no_fb (-1) (arg src argr 0) name)
   | Rt_generic_set_prop name ->
-    set_prop t None (-1) args.(0) name args.(1);
+    set_prop t no_fb (-1) (arg src argr 0) name (arg src argr 1);
     ret t h.Heap.null_v
-  | Rt_generic_get_elem -> ret t (get_elem t None (-1) args.(0) args.(1))
-  | Rt_generic_set_elem ->
-    set_elem t None (-1) args.(0) args.(1) args.(2);
+  | Rt_generic_get_elem ->
+    ret t (get_elem t no_fb (-1) (arg src argr 0) (arg src argr 1))
+  | Rt_generic_set_elem | Rt_elem_store_slow ->
+    set_elem t no_fb (-1) (arg src argr 0) (arg src argr 1) (arg src argr 2);
     ret t h.Heap.null_v
   | Rt_generic_binop op ->
-    ret t (Runtime.eval_binop_cell h op args.(0) args.(1) t.binop_cell)
-  | Rt_generic_unop op -> ret t (Runtime.eval_unop h op args.(0))
-  | Rt_elem_store_slow ->
-    set_elem t None (-1) args.(0) args.(1) args.(2);
-    ret t h.Heap.null_v
-  | Rt_to_bool -> ret t (Heap.bool_v h (Heap.is_truthy h args.(0)))
-  | Rt_builtin b -> ret t (apply_builtin t b args)
+    ret t
+      (Runtime.eval_binop_cell h op (arg src argr 0) (arg src argr 1)
+         t.binop_cell)
+  | Rt_generic_unop op -> ret t (Runtime.eval_unop h op (arg src argr 0))
+  | Rt_to_bool -> ret t (Heap.bool_v h (Heap.is_truthy h (arg src argr 0)))
+  | Rt_builtin b -> ret t (apply_builtin t b src argr)
   | Rt_fmod ->
     t.mach.Tce_machine.Machine.rt_fres.(0) <-
-      Tce_vm.Fbits.canon (Float.rem fargs.(0) fargs.(1));
+      Tce_vm.Fbits.canon (Float.rem fsrc.(fargr.(0)) fsrc.(fargr.(1)));
     Value.smi 0
   | Rt_trap msg -> raise (Engine_error msg)
 
@@ -1126,15 +1129,16 @@ and ret_alloc t v =
 let run_main t : Value.t =
   let tr = trace t in
   if Tce_obs.Trace.on tr then Tce_obs.Trace.emit tr (Tce_obs.Trace.Phase "main");
-  call_function t t.prog.Bytecode.main [| t.heap.Heap.null_v |]
+  call_function t t.prog.Bytecode.main t.heap.Heap.null_v [||] [||] 0
 
 (** Call a top-level function by name (used by the benchmark harness to
     drive steady-state iterations). *)
 let call_by_name t name (args : Value.t array) : Value.t =
   match Bytecode.find_func t.prog name with
   | Some fn ->
-    call_function t fn.Bytecode.id
-      (Array.append [| t.heap.Heap.null_v |] args)
+    call_function t fn.Bytecode.id t.heap.Heap.null_v args
+      (Array.init (Array.length args) Fun.id)
+      0
   | None -> raise (Engine_error ("no such function: " ^ name))
 
 (** Total simulated cycles attributed to optimized code so far. *)

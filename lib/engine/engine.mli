@@ -120,9 +120,17 @@ val run_main : t -> Tce_vm.Value.t
     @raise Engine_error when no such function exists. *)
 val call_by_name : t -> string -> Tce_vm.Value.t array -> Tce_vm.Value.t
 
-(** Call guest function [fn_id] with [this :: args] (tier chosen by the
-    engine). *)
-val call_function : t -> int -> Tce_vm.Value.t array -> Tce_vm.Value.t
+(** [call_function t fn_id this src argr first] calls guest function
+    [fn_id] with [this] and the arguments [src.(argr.(i))],
+    [first <= i < length argr] (tier chosen by the engine). The arguments
+    are a borrowed view, copied into the callee's registers on entry. *)
+val call_function :
+  t -> int -> Tce_vm.Value.t -> Tce_vm.Value.t array -> int array -> int ->
+  Tce_vm.Value.t
+
+(** The engine's callbacks into itself for the machine (made on first
+    use, then shared by every optimized call). *)
+val host : t -> Tce_machine.Machine.host
 
 (* --- metrics --- *)
 

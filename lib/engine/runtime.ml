@@ -12,14 +12,19 @@ let error fmt = Fmt.kstr (fun s -> raise (Guest_error s)) fmt
 
 let is_numeric h v = Value.is_smi v || Heap.is_number h v
 
-let to_number h v =
+let not_a_number h v = Guest_error ("not a number: " ^ Heap.to_display_string h v)
+
+(* Inlined, and the error branch is a [raise] rather than a call that
+   returns ['a]: a float let-bound from an [if] with such a call in one
+   arm stays boxed. *)
+let[@inline] to_number h v =
   if Value.is_smi v then float_of_int (Value.smi_value v)
   else if Heap.is_number h v then Heap.number_value h v
-  else error "not a number: %s" (Heap.to_display_string h v)
+  else raise (not_a_number h v)
 
 (** JS ToInt32 on numeric values (one shared definition with the machine's
     TruncFI so both tiers agree exactly). *)
-let to_int32 h v = Value.js_to_int32_float (to_number h v)
+let[@inline] to_int32 h v = Value.js_to_int32_float (to_number h v)
 
 let to_display h v = Heap.to_display_string h v
 
@@ -141,38 +146,44 @@ type io = {
 let make_io ?(seed = 42) ?(trace = Tce_obs.Trace.null) () =
   { out = Buffer.create 1024; prng = Tce_support.Prng.create seed; trace }
 
-let builtin_apply h io (b : Builtins.t) (args : Value.t array) : Value.t =
-  (* no local [arg i] / [numf i] helpers: closures over [args] would be
-     allocated on every call *)
+(* Argument [i] of a call view. Top-level: a local [arg i] closure over
+   [src]/[argr] would be allocated on every call. *)
+let[@inline] arg (src : Value.t array) (argr : int array) i = src.(argr.(i))
+
+let builtin_apply h io (b : Builtins.t) (src : Value.t array)
+    (argr : int array) : Value.t =
   match b with
   | Builtins.B_print ->
-    Buffer.add_string io.out (to_display h args.(0));
+    Buffer.add_string io.out (to_display h (arg src argr 0));
     Buffer.add_char io.out '\n';
     h.Heap.null_v
-  | B_sqrt -> Heap.number h (sqrt (to_number h args.(0)))
-  | B_abs -> Heap.number h (Float.abs (to_number h args.(0)))
-  | B_floor -> Heap.number h (Float.floor (to_number h args.(0)))
-  | B_ceil -> Heap.number h (Float.ceil (to_number h args.(0)))
-  | B_sin -> Heap.number h (sin (to_number h args.(0)))
-  | B_cos -> Heap.number h (cos (to_number h args.(0)))
-  | B_exp -> Heap.number h (exp (to_number h args.(0)))
-  | B_log -> Heap.number h (log (to_number h args.(0)))
+  | B_sqrt -> Heap.number h (sqrt (to_number h (arg src argr 0)))
+  | B_abs -> Heap.number h (Float.abs (to_number h (arg src argr 0)))
+  | B_floor -> Heap.number h (Float.floor (to_number h (arg src argr 0)))
+  | B_ceil -> Heap.number h (Float.ceil (to_number h (arg src argr 0)))
+  | B_sin -> Heap.number h (sin (to_number h (arg src argr 0)))
+  | B_cos -> Heap.number h (cos (to_number h (arg src argr 0)))
+  | B_exp -> Heap.number h (exp (to_number h (arg src argr 0)))
+  | B_log -> Heap.number h (log (to_number h (arg src argr 0)))
   | B_pow ->
-    Heap.number h (Float.pow (to_number h args.(0)) (to_number h args.(1)))
+    Heap.number h
+      (Float.pow (to_number h (arg src argr 0)) (to_number h (arg src argr 1)))
   | B_min ->
-    Heap.number h (Float.min (to_number h args.(0)) (to_number h args.(1)))
+    Heap.number h
+      (Float.min (to_number h (arg src argr 0)) (to_number h (arg src argr 1)))
   | B_max ->
-    Heap.number h (Float.max (to_number h args.(0)) (to_number h args.(1)))
+    Heap.number h
+      (Float.max (to_number h (arg src argr 0)) (to_number h (arg src argr 1)))
   | B_random -> Heap.number h (Tce_support.Prng.float io.prng)
   | B_array_new ->
-    let n = int_of_float (to_number h args.(0)) in
+    let n = int_of_float (to_number h (arg src argr 0)) in
     if n < 0 then error "array_new: negative length";
     Heap.alloc_array_filled h n
   | B_push ->
-    let a = args.(0) in
+    let a = arg src argr 0 in
     if not (Heap.is_object h a) then error "push: not an array";
     let len = Heap.elements_len h a in
-    let grew = Heap.elem_set h a len args.(1) in
+    let grew = Heap.elem_set h a len (arg src argr 1) in
     if grew && Tce_obs.Trace.on io.trace then
       Tce_obs.Trace.emit io.trace
         (Tce_obs.Trace.Gc
@@ -181,32 +192,36 @@ let builtin_apply h io (b : Builtins.t) (args : Value.t array) : Value.t =
              grows = h.Heap.stats.Heap.elements_grows;
            });
     Value.smi (len + 1)
-  | B_str_len -> Value.smi (String.length (Heap.string_value h args.(0)))
+  | B_str_len ->
+    Value.smi (String.length (Heap.string_value h (arg src argr 0)))
   | B_char_code ->
-    let s = Heap.string_value h args.(0) in
-    let i = Value.smi_value args.(1) in
+    let s = Heap.string_value h (arg src argr 0) in
+    let i = Value.smi_value (arg src argr 1) in
     if i < 0 || i >= String.length s then error "char_code: index out of range";
     Value.smi (Char.code s.[i])
   | B_from_char_code ->
-    Heap.intern_string h (String.make 1 (Char.chr (to_int32 h args.(0) land 0xff)))
+    Heap.intern_string h
+      (String.make 1 (Char.chr (to_int32 h (arg src argr 0) land 0xff)))
   | B_substr ->
-    let s = Heap.string_value h args.(0) in
-    let start = int_of_float (to_number h args.(1))
-    and len = int_of_float (to_number h args.(2)) in
+    let s = Heap.string_value h (arg src argr 0) in
+    let start = int_of_float (to_number h (arg src argr 1))
+    and len = int_of_float (to_number h (arg src argr 2)) in
     let start = max 0 (min start (String.length s)) in
     let len = max 0 (min len (String.length s - start)) in
     Heap.intern_string h (String.sub s start len)
   | B_str_eq ->
-    Heap.bool_v h (Heap.string_value h args.(0) = Heap.string_value h args.(1))
+    Heap.bool_v h
+      (Heap.string_value h (arg src argr 0)
+      = Heap.string_value h (arg src argr 1))
   | B_assert_eq ->
-    if not (values_equal h args.(0) args.(1)) then
-      error "assert_eq failed: %s <> %s" (to_display h args.(0))
-        (to_display h args.(1));
+    let a = arg src argr 0 and b = arg src argr 1 in
+    if not (values_equal h a b) then
+      error "assert_eq failed: %s <> %s" (to_display h a) (to_display h b);
     h.Heap.null_v
 
 (** Numeric payload of a builtin/stub result for the float register path,
     written to [cell.(0)] (returning it would box it). *)
-let store_float_result h v (cell : float array) =
+let[@inline] store_float_result h v (cell : float array) =
   cell.(0) <-
     (if Value.is_smi v then float_of_int (Value.smi_value v)
      else if Heap.is_number h v then Heap.number_value h v

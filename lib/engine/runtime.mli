@@ -43,11 +43,16 @@ type io = {
 
 val make_io : ?seed:int -> ?trace:Tce_obs.Trace.t -> unit -> io
 
-(** Apply a builtin. (The engine intercepts [push] so its element store
-    fires Class Cache events; this function is the plain semantics.) *)
+(** [arg src argr i] is argument [i] of a call view: [src.(argr.(i))]. *)
+val arg : Tce_vm.Value.t array -> int array -> int -> Tce_vm.Value.t
+
+(** [builtin_apply h io b src argr] applies a builtin to the arguments
+    [src.(argr.(i))] (a borrowed view, read before it returns). (The
+    engine intercepts [push] so its element store fires Class Cache events;
+    this function is the plain semantics.) *)
 val builtin_apply :
   Tce_vm.Heap.t -> io -> Tce_jit.Builtins.t -> Tce_vm.Value.t array ->
-  Tce_vm.Value.t
+  int array -> Tce_vm.Value.t
 
 (** [store_float_result h v cell] writes the numeric payload of a stub
     result (0 for non-numbers) to [cell.(0)], for the float-register result

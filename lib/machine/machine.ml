@@ -21,14 +21,15 @@
     {!Counters} when the outermost {!run} exits (README, "Template fusion
     invariants").
 
-    The templated executor allocates nothing per simulated instruction
-    outside guest and runtime calls (which allocate their argument vectors,
-    and whatever the called code allocates): the window and store queue are
-    int ring buffers, MSHR fill tracking is an {!Tce_support.Int_table},
-    the memory model's loops are top-level int functions, FP results stay
-    unboxed, and the function result comes back down the closure chain as
-    an immediate [Value.t]. The budget is gated by test/test_fastpath.ml
-    ("optimized-tier allocation budget"). *)
+    The templated executor allocates nothing per simulated instruction;
+    only the code that a guest or runtime call runs may allocate. Call
+    arguments cross the {!host} interface as views of the register file,
+    never as vectors. The window and store queue are int ring buffers, MSHR
+    fill tracking is an {!Tce_support.Int_table}, the memory model's loops
+    are top-level int functions, FP results stay unboxed, and the function
+    result comes back down the closure chain as an immediate [Value.t]. The
+    budget is gated by test/test_fastpath.ml ("optimized-tier allocation
+    budget"). *)
 
 open Tce_vm
 open Tce_jit
@@ -47,16 +48,25 @@ type cc_exn_info = {
   cc_victims : int list;  (** opt_ids from the slot's FunctionList *)
 }
 
-(** Callbacks into the engine (tier driver). *)
+(** Callbacks into the engine (tier driver). Arguments cross as borrowed
+    views — the caller's register file and the operand index vector of the
+    predecoded call — so a call builds no argument vector. *)
 type host = {
-  call_fn : int -> Value.t array -> Value.t;
-      (** call guest function [fn_id] with [this :: args] *)
+  call_fn : int -> Value.t -> Value.t array -> int array -> int -> Value.t;
+      (** [call_fn fn_id this src argr first]: call guest function [fn_id]
+          with [this] and the arguments [src.(argr.(i))] for
+          [first <= i < length argr]; the callee copies them into its own
+          register file on entry ({!enter_args}) *)
   resume : opt_id:int -> bc_pc:int -> regs:Value.t array ->
            result:(int * Value.t) option -> Value.t;
       (** deoptimization: resume the interpreter mid-function *)
-  rt_call : Lir.rt -> Value.t array -> float array -> Value.t;
-      (** execute a runtime stub functionally; its double result is written
-          to the machine's [rt_fres] cell *)
+  rt_call :
+    Lir.rt -> Value.t array -> int array -> float array -> int array ->
+    Value.t;
+      (** [rt_call rt src argr fsrc fargr]: execute a runtime stub
+          functionally on [src.(argr.(i))] and the doubles
+          [fsrc.(fargr.(i))], read before it returns; its double result is
+          written to the machine's [rt_fres] cell *)
   on_cc_exception : cc_exn_info -> unit;
       (** invalidate the optimized code instances in [cc_victims] *)
   on_deopt : int -> unit;
@@ -189,6 +199,7 @@ type t = {
    generic-compare C call — measurably hot at 2-5 uses per simulated
    instruction (dependency-stall arithmetic in both executors). *)
 let[@inline] imax (a : int) (b : int) = if a >= b then a else b
+let[@inline] imin (a : int) (b : int) = if a <= b then a else b
 
 let ring_capacity n =
   let rec go c = if c > n then c else go (c * 2) in
@@ -542,10 +553,10 @@ let falu_time t d fready fd fa fb lat =
   fready.(fd) <- start + lat;
   complete t fready.(fd)
 
-(* Operands of a guest or runtime call: wait until they are ready
-   ([serialize_on]), then copy them into a fresh argument vector
-   ([gather]). Top-level loops, because an [Array.iter] / [Array.map]
-   closure over the register file would be one more allocation per call. *)
+(* Operands of a guest or runtime call: wait until they are ready. A
+   top-level loop, because an [Array.iter] closure over the register file
+   would be one allocation per call. The host then reads the operands in
+   place, through the index vector [argr]. *)
 let rec serialize_on t (ready : int array) (argr : int array) (i : int) =
   if i < Array.length argr then begin
     let c = ready.(argr.(i)) in
@@ -553,19 +564,18 @@ let rec serialize_on t (ready : int array) (argr : int array) (i : int) =
     serialize_on t ready argr (i + 1)
   end
 
-let gather (regs : Value.t array) (argr : int array) : Value.t array =
-  let a = Array.make (Array.length argr) 0 in
-  for i = 0 to Array.length argr - 1 do
-    a.(i) <- regs.(argr.(i))
+(** A callee's incoming registers from a call's argument view:
+    [regs.(0)] is [this] and [regs.(i)] is [src.(argr.(first + i - 1))],
+    for [i] below [n] and below the argument count plus one. Returns the
+    number of registers written. *)
+let enter_args (regs : Value.t array) n this (src : Value.t array)
+    (argr : int array) first =
+  let m = imax 0 (imin n (1 + Array.length argr - first)) in
+  if m > 0 then regs.(0) <- this;
+  for i = 1 to m - 1 do
+    regs.(i) <- src.(argr.(first + i - 1))
   done;
-  a
-
-let gather_f (fregs : float array) (fargr : int array) : float array =
-  let a = Array.make (Array.length fargr) 0.0 in
-  for i = 0 to Array.length fargr - 1 do
-    a.(i) <- fregs.(fargr.(i))
-  done;
-  a
+  m
 
 let branch_resolve t ~opt_id ~pc ~start ~taken =
   let completion = start + 1 in
@@ -659,8 +669,8 @@ let prof_acc prof (pf : Predecode.func) =
     fault injector is armed, or when a stream cannot be fused; the
     templated executor below is bit-identical to this loop by
     construction (lib/machine/README.md, "Template fusion invariants"). *)
-let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
-    (args : Value.t array) : Value.t =
+let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func) this
+    (src : Value.t array) (argr : int array) first : Value.t =
   let prof = t.prof in
   let pon = Profile.on prof in
   let pacc = if pon then prof_acc prof pf else Profile.dummy_acc in
@@ -669,8 +679,7 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
   let fregs = Array.make (imax f.Lir.n_fregs 1) 0.0 in
   let ready = Array.make (imax f.Lir.n_regs 1) t.cycle in
   let fready = Array.make (imax f.Lir.n_fregs 1) t.cycle in
-  let nargs = min (Array.length args) f.Lir.n_regs in
-  Array.blit args 0 regs 0 nargs;
+  let nargs = enter_args regs f.Lir.n_regs this src argr first in
   (* absent parameters read as null *)
   for i = nargs to min (Array.length f.Lir.reprs) f.Lir.n_regs - 1 do
     regs.(i) <- t.heap.Heap.null_v
@@ -975,8 +984,7 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
            t.slots <- 0;
            charge_rt_i t ~pcost:Profile.cost_call ~cat_idx:cat_other_idx
              ~instrs:cinstrs ~cycles:8;
-           let argv = gather regs argr in
-           let v = host.call_fn callee argv in
+           let v = host.call_fn callee regs.(argr.(0)) regs argr 1 in
            (* the callee (a nested run) moved the attribution site; any
               cycles this frame still books (deopt below, next dispatch)
               belong to this call site again *)
@@ -999,7 +1007,7 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
            charge_rt_i t ~pcost:Profile.cost_rt
              ~cat_idx:(m land Predecode.meta_cat_mask) ~instrs:cinstrs
              ~cycles:ccycles;
-           let v = host.rt_call rt (gather regs argr) [||] in
+           let v = host.rt_call rt regs argr fregs [||] in
            if rd >= 0 then begin
              regs.(rd) <- v;
              ready.(rd) <- t.cycle + 1
@@ -1021,7 +1029,7 @@ let run_slow t (host : host) (f : Lir.func) (pf : Predecode.func)
            charge_rt_i t ~pcost:Profile.cost_rt
              ~cat_idx:(m land Predecode.meta_cat_mask) ~instrs:cinstrs
              ~cycles:ccycles;
-           let v = host.rt_call rt (gather regs argr) (gather_f fregs fargr) in
+           let v = host.rt_call rt regs argr fregs fargr in
            if rd >= 0 then begin
              regs.(rd) <- v;
              ready.(rd) <- t.cycle + 1
@@ -1566,7 +1574,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) ~(knext : tstep)
       t.slots <- 0;
       charge_rt_i t ~pcost:Profile.cost_call ~cat_idx:cat_other_idx
         ~instrs:cinstrs ~cycles:8;
-      let v = env.te_host.call_fn callee (gather regs argr) in
+      let v = env.te_host.call_fn callee regs.(argr.(0)) regs argr 1 in
       if env.te_host.is_invalidated opt_id then begin
         t_osr_trace t f deopt_id;
         t_deopt t env f deopt_id ~result:(Some v)
@@ -1584,7 +1592,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) ~(knext : tstep)
       serialize_on t ready argr 0;
       charge_rt_i t ~pcost:Profile.cost_rt ~cat_idx ~instrs:cinstrs
         ~cycles:ccycles;
-      let v = env.te_host.rt_call rt (gather regs argr) [||] in
+      let v = env.te_host.rt_call rt regs argr env.te_fregs [||] in
       if rd >= 0 then begin
         regs.(rd) <- v;
         ready.(rd) <- t.cycle + 1
@@ -1604,9 +1612,7 @@ let compile_body t (f : Lir.func) ~pc ~m (op : Predecode.pre) ~(knext : tstep)
       serialize_on t fready fargr 0;
       charge_rt_i t ~pcost:Profile.cost_rt ~cat_idx ~instrs:cinstrs
         ~cycles:ccycles;
-      let v =
-        env.te_host.rt_call rt (gather regs argr) (gather_f fregs fargr)
-      in
+      let v = env.te_host.rt_call rt regs argr fregs fargr in
       if rd >= 0 then begin
         regs.(rd) <- v;
         ready.(rd) <- t.cycle + 1
@@ -1902,8 +1908,8 @@ let release_env t env =
     the block at pc 0 once. Control then threads through the step closures
     by tail calls until a [Pret] or a deopt returns the result. Bit-identical
     to {!run_slow} by construction. *)
-let run_templated t (host : host) (f : Lir.func) (tpl : template)
-    (args : Value.t array) : Value.t =
+let run_templated t (host : host) (f : Lir.func) (tpl : template) this
+    (src : Value.t array) (argr : int array) first : Value.t =
   let nr = imax f.Lir.n_regs 1 in
   let nf = imax f.Lir.n_fregs 1 in
   (* Acquire a pooled environment (guest calls nest, so this is a stack,
@@ -1939,8 +1945,7 @@ let run_templated t (host : host) (f : Lir.func) (tpl : template)
   Array.fill env.te_fregs 0 nf 0.0;
   Array.fill env.te_ready 0 nr t.cycle;
   Array.fill env.te_fready 0 nf t.cycle;
-  let nargs = min (Array.length args) f.Lir.n_regs in
-  Array.blit args 0 regs 0 nargs;
+  let nargs = enter_args regs f.Lir.n_regs this src argr first in
   (* absent parameters read as null *)
   for i = nargs to min (Array.length f.Lir.reprs) f.Lir.n_regs - 1 do
     regs.(i) <- t.heap.Heap.null_v
@@ -1949,7 +1954,7 @@ let run_templated t (host : host) (f : Lir.func) (tpl : template)
   release_env t env;
   res
 
-let run_any t (host : host) (f : Lir.func) (args : Value.t array) : Value.t =
+let run_any t (host : host) (f : Lir.func) this src argr first : Value.t =
   let pf = install t f in
   if
     t.templates
@@ -1957,25 +1962,28 @@ let run_any t (host : host) (f : Lir.func) (args : Value.t array) : Value.t =
     && not (Tce_fault.Injector.armed t.fault)
   then
     match install_template t f pf with
-    | Some tpl -> run_templated t host f tpl args
-    | None -> run_slow t host f pf args
-  else run_slow t host f pf args
+    | Some tpl -> run_templated t host f tpl this src argr first
+    | None -> run_slow t host f pf this src argr first
+  else run_slow t host f pf this src argr first
 
 (* Leave one {!run}; the outermost one folds the deferred block counts. *)
 let leave t =
   t.run_depth <- t.run_depth - 1;
   if t.run_depth = 0 then fold_block_counts t
 
-(** Execute optimized code [f] on [args] = [this :: params], returning the
-    function result (possibly via a deopt into the interpreter). Runs the
-    templated executor whenever it is equivalent to the per-instruction
-    loop: templates enabled, profiler off (per-pc attribution needs
-    per-instruction sites), no fault injector armed, and the stream
-    fusible. When the outermost call returns or raises, the templated
-    blocks' deferred counts are folded into {!Counters}. *)
-let run t (host : host) (f : Lir.func) (args : Value.t array) : Value.t =
+(** Execute optimized code [f] on [this] and the parameters
+    [src.(argr.(i))], [first <= i < length argr] (the view {!host.call_fn}
+    receives), returning the function result (possibly via a deopt into
+    the interpreter). Runs the templated executor whenever it is
+    equivalent to the per-instruction loop: templates enabled, profiler off
+    (per-pc attribution needs per-instruction sites), no fault injector
+    armed, and the stream fusible. When the outermost call returns or
+    raises, the templated blocks' deferred counts are folded into
+    {!Counters}. *)
+let run t (host : host) (f : Lir.func) this (src : Value.t array)
+    (argr : int array) first : Value.t =
   t.run_depth <- t.run_depth + 1;
-  match run_any t host f args with
+  match run_any t host f this src argr first with
   | v ->
     leave t;
     v

@@ -6,8 +6,9 @@
 
     The executor runs the {!Predecode} stream (decoded once per installed
     compilation); the templated executor allocates nothing per simulated
-    instruction outside guest and runtime calls — see lib/machine/README.md,
-    "Allocation discipline". *)
+    instruction, the boundary of guest and runtime calls included — see
+    lib/machine/README.md, "Allocation
+    discipline". *)
 
 exception Trap of string
 
@@ -22,20 +23,33 @@ type cc_exn_info = {
   cc_victims : int list;  (** opt_ids from the slot's FunctionList *)
 }
 
-(** Callbacks into the engine (tier driver). *)
+(** Callbacks into the engine (tier driver). Arguments cross as borrowed
+    views, never as vectors: the caller's register file [src] and the
+    operand index vector [argr] already in the predecoded call. The view is
+    valid only until the callback returns: a guest callee copies it into
+    its own register file on entry ({!enter_args}), a stub reads it before
+    it returns. *)
 type host = {
-  call_fn : int -> Tce_vm.Value.t array -> Tce_vm.Value.t;
-      (** call guest function [fn_id] with [this :: args] *)
+  call_fn :
+    int -> Tce_vm.Value.t -> Tce_vm.Value.t array -> int array -> int ->
+    Tce_vm.Value.t;
+      (** [call_fn fn_id this src argr first]: call guest function [fn_id]
+          with [this] and the arguments [src.(argr.(i))] for
+          [first <= i < length argr] (an optimized caller's [argr] starts
+          with its [this] register, so it passes [first = 1]) *)
   resume :
     opt_id:int -> bc_pc:int -> regs:Tce_vm.Value.t array ->
     result:(int * Tce_vm.Value.t) option -> Tce_vm.Value.t;
       (** deoptimization: resume the interpreter on the code's (shadow)
           bytecode *)
   rt_call :
-    Tce_jit.Lir.rt -> Tce_vm.Value.t array -> float array -> Tce_vm.Value.t;
-      (** execute a runtime stub functionally; its double result (the FP
-          result of [Rt_fmod], else the numeric value of the returned
-          [Value.t], 0.0 for non-numbers) goes to the machine's [rt_fres] *)
+    Tce_jit.Lir.rt -> Tce_vm.Value.t array -> int array -> float array ->
+    int array -> Tce_vm.Value.t;
+      (** [rt_call rt src argr fsrc fargr]: execute a runtime stub
+          functionally on the arguments [src.(argr.(i))] and the double
+          arguments [fsrc.(fargr.(i))]; its double result (the FP result of
+          [Rt_fmod], else the numeric value of the returned [Value.t], 0.0
+          for non-numbers) goes to the machine's [rt_fres] *)
   on_cc_exception : cc_exn_info -> unit;
       (** misspeculation exception: invalidate the victim opt_ids *)
   on_deopt : int -> unit;  (** a check failed in this opt_id *)
@@ -149,14 +163,22 @@ val install : t -> Tce_jit.Lir.func -> Predecode.func
     lines into the D-caches without cost. *)
 val prefill : t -> addr:int -> bytes:int -> unit
 
-(** [gather regs argr] is the argument vector [regs.(argr.(i))] of a
-    call, built without an [Array.map] closure (shared with the
-    interpreter's call paths). *)
-val gather : Tce_vm.Value.t array -> int array -> Tce_vm.Value.t array
+(** [enter_args regs n this src argr first] writes a callee's incoming
+    registers from a {!host.call_fn} view: [regs.(0)] is [this] and
+    [regs.(i)] is [src.(argr.(first + i - 1))], for [i] below [n] and below
+    the argument count plus one. Returns the number of registers written.
+    Shared with the interpreter's call paths. *)
+val enter_args :
+  Tce_vm.Value.t array -> int -> Tce_vm.Value.t -> Tce_vm.Value.t array ->
+  int array -> int -> int
 
-(** Execute optimized code on [this :: params], returning the function
-    result (possibly produced by a deoptimized continuation). Templated
-    blocks count their entries and the outermost call folds the counts
-    into [counters] as it returns or raises: read the per-instruction
-    counters only while no call is live. *)
-val run : t -> host -> Tce_jit.Lir.func -> Tce_vm.Value.t array -> Tce_vm.Value.t
+(** [run t host f this src argr first] executes optimized code on [this]
+    and the parameters [src.(argr.(i))], [first <= i < length argr] (a
+    {!host.call_fn} view), returning the function result (possibly
+    produced by a deoptimized continuation). Templated blocks count their
+    entries and the outermost call folds the counts into [counters] as it
+    returns or raises: read the per-instruction counters only while no
+    call is live. *)
+val run :
+  t -> host -> Tce_jit.Lir.func -> Tce_vm.Value.t -> Tce_vm.Value.t array ->
+  int array -> int -> Tce_vm.Value.t

@@ -8,9 +8,11 @@
     the *same* values and cross-tier result checks are exact. The precision
     loss is one ulp of mantissa and does not affect any benchmark output. *)
 
-let of_float f : int = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float f) 1)
+let[@inline] of_float f : int =
+  Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float f) 1)
 
-let to_float (w : int) : float = Int64.float_of_bits (Int64.shift_left (Int64.of_int w) 1)
+let[@inline] to_float (w : int) : float =
+  Int64.float_of_bits (Int64.shift_left (Int64.of_int w) 1)
 
 (** Canonicalize a float to the representable subset. *)
 let canon f = to_float (of_float f)

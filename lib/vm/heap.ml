@@ -110,7 +110,9 @@ let is_bool t v = v = t.true_v || v = t.false_v
 
 (* --- heap numbers --- *)
 
-let alloc_number t f : Value.t =
+(* Takes the payload as [Fbits] bits, an [int]: a [float] argument of a
+   function that is not inlined is boxed at every call. *)
+let alloc_number t bits : Value.t =
   t.stats.numbers_allocated <- t.stats.numbers_allocated + 1;
   let c = Hidden_class.Registry.number_class t.reg in
   (* Two words: class word + payload ([Fbits] encoding). Aligned to 16 to
@@ -118,32 +120,36 @@ let alloc_number t f : Value.t =
      V8's. *)
   let addr = Mem.allocate t.mem ~bytes:16 ~align:16 in
   Mem.store t.mem addr (Hidden_class.class_word c ~line:0);
-  Mem.store t.mem (addr + 8) (Fbits.of_float f);
+  Mem.store t.mem (addr + 8) bits;
   Value.ptr addr
 
 let is_number t (v : Value.t) =
   (not (Value.is_smi v))
   && (class_of_addr t (Value.ptr_addr v)).Hidden_class.kind = Hidden_class.K_number
 
-let number_value t (v : Value.t) =
+let[@inline] number_value t (v : Value.t) =
   let addr = Value.ptr_addr v in
   Fbits.to_float (Mem.load t.mem (addr + 8))
 
 (** Numeric value of an SMI or heap number. *)
-let to_float t (v : Value.t) =
+let[@inline] to_float t (v : Value.t) =
   if Value.is_smi v then float_of_int (Value.smi_value v) else number_value t v
 
 (** Box a float: SMI when integral and in range (like V8 canonicalization
     of [Smi] results), heap number otherwise. The range test is performed
-    on the float itself — [int_of_float] on a huge double is undefined. *)
-let number t f : Value.t =
+    on the float itself — [int_of_float] on a huge double is undefined.
+    Inlined, and integral-tested with the [Float.trunc] primitive rather
+    than [Float.is_integer] (an out-of-line call), so [f] is never boxed;
+    NaN fails [f = trunc f] and ±inf the range test, so both become heap
+    numbers. *)
+let[@inline] number t f : Value.t =
   if
-    Float.is_integer f
+    f = Float.trunc f
     && f >= -2147483648.0
     && f <= 2147483647.0
     && not (f = 0.0 && 1.0 /. f < 0.0)
   then Value.smi (int_of_float f)
-  else alloc_number t f
+  else alloc_number t (Fbits.of_float f)
 
 (** A float *literal* is materialized as an interned heap-number constant,
     never canonicalized to an SMI — double literals denote doubles (so a
@@ -155,7 +161,7 @@ let float_const t f : Value.t =
   let cached = Tce_support.Int_table.find t.float_consts key 0 in
   if cached <> 0 then cached
   else begin
-    let v = alloc_number t f in
+    let v = alloc_number t key in
     Tce_support.Int_table.set t.float_consts key v;
     v
   end

@@ -49,7 +49,9 @@ val is_bool : t -> Value.t -> bool
 
 (* --- numbers --- *)
 
-val alloc_number : t -> float -> Value.t
+(** A heap number whose payload is the {!Fbits} word [bits]. *)
+val alloc_number : t -> int -> Value.t
+
 val is_number : t -> Value.t -> bool
 val number_value : t -> Value.t -> float
 

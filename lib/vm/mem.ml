@@ -8,8 +8,9 @@
     reads costs no host memory:
     - [low] backs the words below the first reserved range (the built-in
       class descriptors and oddballs of every heap);
-    - [words] backs the words from [hi_base] up; only allocation and
-      stores grow it, and a load past its end answers 0;
+    - fixed-size [pages] back the words from [hi_base] up; only allocation
+      and stores add pages, one at a time and never copied, and a load
+      past the last page answers 0;
     - the words in between (the reserved ranges) live in the sparse table
       [gap]: a load there answers 0 unless a store put a value there.
 
@@ -18,7 +19,12 @@
 
 type t = {
   mutable low : int array;  (** backs [\[base, base + 8 * length low)] *)
-  mutable words : int array;  (** backs [\[hi_base, hi_base + 8 * length words)] *)
+  mutable pages : int array array;
+      (** page [p] backs the [page_words] words from
+          [hi_base + 8 * p * page_words]; [pages.(0 .. backed / page_words - 1)]
+          are made, the rest of the spine is [\[||\]] *)
+  mutable backed : int;
+      (** words backed from [hi_base]: [page_words] × pages made *)
   mutable hi_base : int;
   gap : Tce_support.Int_table.t;  (** byte address -> word, below [hi_base] *)
   mutable next_free : int;  (** bump pointer, byte address *)
@@ -27,19 +33,20 @@ type t = {
 
 let default_base = 0x10000
 
-(* Measured over the 110 engines of a roster pass (55 programs, mechanism
-   off and on): the words allocated after the Class List range have a
-   median of about 4k and a maximum of 254k. Starting at 8k words and
-   doubling allocates the fewest backing words summed over the pass
-   (12.9M, against 14.8M from 64k words). *)
-let default_capacity_words = 8192
+(* 4,096 words (32 KB) per page: the heaps of most engines fit in one or
+   two pages, and over a roster pass pages of 1k to 8k words allocate
+   within 1.5% of each other. A page is made once and never moves, so
+   growth copies nothing. *)
+let page_bits = 12
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
 
-let create ?(base = default_base) ?(capacity_words = default_capacity_words) ()
-    =
+let create ?(base = default_base) () =
   if base land 7 <> 0 then invalid_arg "Mem.create: base not word-aligned";
   {
     low = [||];
-    words = Array.make capacity_words 0;
+    pages = [||];
+    backed = 0;
     hi_base = base;
     gap = Tce_support.Int_table.create ~size:8 ();
     next_free = base;
@@ -50,28 +57,40 @@ let check t addr =
   if addr land 7 <> 0 then invalid_arg (Printf.sprintf "Mem: unaligned access 0x%x" addr);
   if addr < t.base then invalid_arg (Printf.sprintf "Mem: access below heap base 0x%x" addr)
 
-(* Grow [words] to at least [n] words, doubling. *)
+(* Word [i] from [hi_base]; [i < backed]. *)
+let[@inline] get t i =
+  Array.unsafe_get (Array.unsafe_get t.pages (i lsr page_bits)) (i land page_mask)
+
+let[@inline] set t i v =
+  Array.unsafe_set (Array.unsafe_get t.pages (i lsr page_bits)) (i land page_mask) v
+
+(* Back at least [n] words from [hi_base], adding zeroed pages. Only the
+   spine of page pointers is ever copied (doubling). *)
 let ensure t n =
-  let len = Array.length t.words in
-  if n > len then begin
-    let words = Array.make (max n (len * 2)) 0 in
-    Array.blit t.words 0 words 0 len;
-    t.words <- words
-  end
+  while t.backed < n do
+    let p = t.backed lsr page_bits in
+    if p = Array.length t.pages then begin
+      let spine = Array.make (max 8 (2 * p)) [||] in
+      Array.blit t.pages 0 spine 0 p;
+      t.pages <- spine
+    end;
+    t.pages.(p) <- Array.make page_words 0;
+    t.backed <- t.backed + page_words
+  done
 
 let load_slow t addr =
   check t addr;
   if addr >= t.hi_base then 0 else Tce_support.Int_table.find t.gap addr 0
 
 (** Aligned accesses to a backed word take an inline fast path: first the
-    [words] segment (objects), then the [low] segment ([Heap.classid_of]
+    paged segment (objects), then the [low] segment ([Heap.classid_of]
     reads the oddballs' class words there). An index [(addr - seg) lsr 3]
     is huge when [addr < seg], so one unsigned comparison per segment
     tests both of its bounds. Everything else goes to the checked slow
     path. *)
 let load t addr =
   let i = (addr - t.hi_base) lsr 3 in
-  if addr land 7 = 0 && i < Array.length t.words then Array.unsafe_get t.words i
+  if addr land 7 = 0 && i < t.backed then get t i
   else
     let j = (addr - t.base) lsr 3 in
     if addr land 7 = 0 && j < Array.length t.low then Array.unsafe_get t.low j
@@ -82,13 +101,13 @@ let store_slow t addr v =
   if addr >= t.hi_base then begin
     let i = (addr - t.hi_base) lsr 3 in
     ensure t (i + 1);
-    t.words.(i) <- v
+    set t i v
   end
   else Tce_support.Int_table.set t.gap addr v
 
 let store t addr v =
   let i = (addr - t.hi_base) lsr 3 in
-  if addr land 7 = 0 && i < Array.length t.words then Array.unsafe_set t.words i v
+  if addr land 7 = 0 && i < t.backed then set t i v
   else
     let j = (addr - t.base) lsr 3 in
     if addr land 7 = 0 && j < Array.length t.low then Array.unsafe_set t.low j v
@@ -111,30 +130,29 @@ let allocate t ~bytes ~align =
   addr
 
 (** Like {!allocate}, but the range gets no host backing: every word that
-    overlaps it moves to the sparse [gap] table, and [words] is rebased
-    past it (keeping its capacity). The first reservation also turns the
-    words below the range into the [low] segment. Addresses, and what
-    loads return, are the same as after {!allocate}. *)
+    overlaps it moves to the sparse [gap] table, and the pages are rebased
+    past it (keeping their number, the words above the range moving down).
+    The first reservation also turns the words below the range into the
+    [low] segment. Addresses, and what loads return, are the same as after
+    {!allocate}. *)
 let reserve t ~bytes ~align =
   let addr = bump t ~bytes ~align in
   let first = max t.hi_base (addr land lnot 7) in
   let last = max t.hi_base ((addr + bytes + 7) land lnot 7) in
   if last > t.hi_base then begin
-    let n = Array.length t.words in
+    let n = t.backed in
     let below = min n ((first - t.hi_base) lsr 3) in
     let k = (last - t.hi_base) lsr 3 in
     let spill i =
-      let v = t.words.(i) in
+      let v = get t i in
       if v <> 0 then Tce_support.Int_table.set t.gap (t.hi_base + (8 * i)) v
     in
-    if t.hi_base = t.base then t.low <- Array.sub t.words 0 below
+    if t.hi_base = t.base then t.low <- Array.init below (get t)
     else for i = 0 to below - 1 do spill i done;
     for i = below to min n k - 1 do spill i done;
-    if k < n then begin
-      Array.blit t.words k t.words 0 (n - k);
-      Array.fill t.words (n - k) k 0
-    end
-    else Array.fill t.words 0 n 0;
+    for i = 0 to n - 1 do
+      set t i (if i + k < n then get t (i + k) else 0)
+    done;
     t.hi_base <- last
   end;
   addr

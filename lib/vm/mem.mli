@@ -4,16 +4,20 @@
     hierarchy.
 
     Host memory backs only what simulation uses: the words below the first
-    reserved range, and a growable array from the end of the last one up.
-    Reserved ranges ({!reserve}) are kept sparsely. A load of a word never
-    stored answers 0 wherever it lies, and loads never grow the backing. *)
+    reserved range, and fixed-size pages from the end of the last one up,
+    made on demand by allocation and stores and never copied. Reserved
+    ranges ({!reserve}) are kept sparsely. A load of a word never stored
+    answers 0 wherever it lies, and loads never add backing. *)
 
 type t
 
 val default_base : int
 
+(** Words per page of the paged segment (a constant). *)
+val page_words : int
+
 (** @raise Invalid_argument if [base] is not word-aligned. *)
-val create : ?base:int -> ?capacity_words:int -> unit -> t
+val create : ?base:int -> unit -> t
 
 (** @raise Invalid_argument on unaligned or below-base addresses. *)
 val load : t -> int -> int

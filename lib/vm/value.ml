@@ -46,8 +46,8 @@ let to_uint32 v = v land 0xffff_ffff
 (** JS ToInt32 of a double. NaN/Inf/out-of-63-bit-range map to 0 (the spec
     maps them modulo 2^32; the engine uses this single definition in both
     tiers so they agree exactly). *)
-let js_to_int32_float f =
-  if Float.is_nan f || Float.abs f >= 9.2e18 then 0
+let[@inline] js_to_int32_float f =
+  if f <> f (* NaN *) || Float.abs f >= 9.2e18 then 0
   else to_int32 (int_of_float f)
 
 let pp ppf (t : t) =

@@ -520,17 +520,15 @@ let words_per_opt_instr name =
   words /. float_of_int (Counters.opt_instrs t.E.counters - instrs0)
 
 (* Bounds are twice the measured words per optimized instruction. Measured
-   (OCaml 5.1, release profile; none of the three calls allocates directly
-   in the major heap, so counting it left the figures unchanged from the
-   minor-words-only count): richards 19 words over 222,366
-   instructions, access-nbody 37,097 over 261,264 (4 words per
-   [Rt_box_double] stub call: the float argument vector and the boxed
-   argument of [Heap.number]), splay 13 over 540,804. Before the hot
-   loops lost their closures and boxed floats these were 8.79, 12.81 and
-   9.56 words per instruction. *)
+   (OCaml 5.1, release profile): richards 9 words over 222,366
+   instructions, access-nbody 20,494 over 261,264, splay 9 over 540,804.
+   The 9 words are [call_by_name]'s lookup by name; access-nbody's are
+   five [Mem] pages (4,096 words each) that its boxed doubles fill in
+   simulated memory. Calls allocate nothing (the last three tests of
+   group "alloc"). *)
 let alloc_budget =
-  [ ("richards", 19. /. 222_366.); ("access-nbody", 37_097. /. 261_264.);
-    ("splay", 13. /. 540_804.) ]
+  [ ("richards", 9. /. 222_366.); ("access-nbody", 20_494. /. 261_264.);
+    ("splay", 9. /. 540_804.) ]
 
 let test_alloc_budget () =
   List.iter
@@ -544,11 +542,10 @@ let test_alloc_budget () =
     alloc_budget
 
 (* Host words one [Engine.create] allocates, for an already compiled
-   program. Measured (OCaml 5.1, release profile) on richards: 48,751
-   words: the 8k-word initial [Mem] backing, the 8k-word Bytes table of
-   the branch predictor, and the cache, TLB and heap side tables. Before
-   the Class List range was reserved instead of backed it was 625,956. *)
-let create_budget_words = 2 * 48_751
+   program. Measured (OCaml 5.1, release profile) on richards: 44,660
+   words: the first 4,096-word [Mem] page, the 8k-word Bytes table of the
+   branch predictor, and the cache, TLB and heap side tables. *)
+let create_budget_words = 2 * 44_660
 
 let test_create_budget () =
   let w = Option.get (Tce_workloads.Workloads.by_name "richards") in
@@ -559,6 +556,119 @@ let test_create_budget () =
   if words > float_of_int create_budget_words then
     Alcotest.failf "Engine.create allocated %.0f words, budget %d (2x the measured %d)"
       words create_budget_words (create_budget_words / 2)
+
+(* --- (e) an allocation-free tier boundary --- *)
+
+(* Host words of [n] calls of [f], which allocates simulated memory. [f]
+   first runs until one call makes a [Mem] page (allocating at least a
+   page of host words); the [n] measured calls then fit in the rest of
+   that page, so the figure is [f]'s own host allocation. *)
+let words_in_fresh_page ~n f =
+  let rec advance k =
+    if k = 0 then Alcotest.fail "no Mem page was made";
+    let w0 = host_words () in
+    f ();
+    if host_words () -. w0 -. probe_words < float_of_int Tce_vm.Mem.page_words
+    then advance (k - 1)
+  in
+  advance 100_000;
+  let w0 = host_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  host_words () -. w0 -. probe_words
+
+let check_no_words what words =
+  if words <> 0. then Alcotest.failf "%s allocated %.0f host words" what words
+
+module E = Tce_engine.Engine
+
+(* Call a top-level function with no arguments, without [call_by_name]'s
+   lookup by name (which allocates). *)
+let call0 t name =
+  let fid = (Option.get (Bytecode.find_func t.E.prog name)).Bytecode.id in
+  fun () -> ignore (E.call_function t fid t.E.heap.Tce_vm.Heap.null_v [||] [||] 0)
+
+(* [g] calls itself, so it is never inlined: every iteration of the
+   optimized [bench] loop is a guest call from optimized code into
+   optimized code. *)
+let call_src =
+  {|
+function g(a, b) { if (a < 0) { return g(a + 1, b); } return a + b; }
+function bench() {
+  var s = 0;
+  for (var i = 0; i < 1000; i++) { s = g(i & 7, s) & 1023; }
+  return s;
+}
+|}
+
+let test_guest_call_no_alloc () =
+  let t = E.of_source call_src in
+  ignore (E.run_main t);
+  for _ = 1 to 3 do
+    ignore (E.call_by_name t "bench" [||])
+  done;
+  let fn name = Option.get (Bytecode.find_func t.E.prog name) in
+  let g = fn "g" in
+  Alcotest.(check bool) "bench and g optimized" true
+    ((fn "bench").Bytecode.opt <> None && g.Bytecode.opt <> None);
+  let bench = call0 t "bench" in
+  let calls0 = g.Bytecode.call_count in
+  let w0 = host_words () in
+  bench ();
+  let words = host_words () -. w0 -. probe_words in
+  Alcotest.(check int) "1000 guest calls" 1000 (g.Bytecode.call_count - calls0);
+  check_no_words "a bench() of 1000 optimized guest calls" words
+
+let test_stub_no_alloc () =
+  let t = E.of_source "var x = 1;" in
+  ignore (E.run_main t);
+  let host = E.host t in
+  let h = t.E.heap in
+  (* the views are made once: an array literal in the loop would be
+     allocated on every call *)
+  let fsrc = [| 1.5 |] and a0 = [| 0 |] and a01 = [| 0; 1 |] in
+  check_no_words "an Rt_box_double stub call"
+    (words_in_fresh_page ~n:1000 (fun () ->
+         ignore
+           (host.Tce_machine.Machine.rt_call Lir.Rt_box_double [||] [||] fsrc
+              a0)));
+  let src = [| Tce_vm.Heap.number h 1.5; Tce_vm.Heap.number h 2.25 |] in
+  check_no_words "a generic-binop stub call on numbers"
+    (words_in_fresh_page ~n:1000 (fun () ->
+         ignore
+           (host.Tce_machine.Machine.rt_call
+              (Lir.Rt_generic_binop Tce_minijs.Ast.Mul) src a01 [||] [||])))
+
+(* The pure interpreter: [dbl] multiplies heap numbers (a heap-number
+   result per iteration), [bits] applies bit-ops to a heap number (SMI
+   results, through ToInt32). *)
+let interp_src =
+  {|
+var x = 1.5;
+function dbl() {
+  var s = 0.5;
+  for (var i = 0; i < 50; i++) { s = s * x; }
+  return s;
+}
+function bits() {
+  var s = 7;
+  for (var i = 0; i < 50; i++) { s = (s ^ x) & 1023; }
+  return s;
+}
+|}
+
+let test_interp_ops_no_alloc () =
+  let t = E.of_source ~config:{ E.default_config with E.jit = false } interp_src in
+  ignore (E.run_main t);
+  let bits = call0 t "bits" and dbl = call0 t "dbl" in
+  bits ();
+  let w0 = host_words () in
+  bits ();
+  check_no_words "an interpreted loop of bit-ops on a heap number"
+    (host_words () -. w0 -. probe_words);
+  check_no_words "an interpreted loop of double multiplications"
+    (words_in_fresh_page ~n:10 dbl)
 
 let () =
   Alcotest.run "fastpath"
@@ -590,5 +700,10 @@ let () =
             test_alloc_budget;
           Alcotest.test_case "Engine.create allocation budget" `Quick
             test_create_budget;
+          Alcotest.test_case "guest call from optimized code" `Quick
+            test_guest_call_no_alloc;
+          Alcotest.test_case "runtime stubs" `Quick test_stub_no_alloc;
+          Alcotest.test_case "interpreted double and bit ops" `Quick
+            test_interp_ops_no_alloc;
         ] );
     ]

@@ -372,9 +372,9 @@ let mk_machine () =
 
 let stub_host : Machine.host =
   {
-    Machine.call_fn = (fun _ _ -> 0);
+    Machine.call_fn = (fun _ _ _ _ _ -> 0);
     resume = (fun ~opt_id:_ ~bc_pc:_ ~regs:_ ~result:_ -> 0);
-    rt_call = (fun _ _ _ -> 0);
+    rt_call = (fun _ _ _ _ _ -> 0);
     on_cc_exception = (fun _ -> ());
     on_deopt = (fun _ -> ());
     is_invalidated = (fun _ -> false);
@@ -401,9 +401,9 @@ let run_lir code ~n_regs =
   let f = mk_func code ~n_regs in
   (* first run warms the I-cache (cold code is a front-end bubble per line);
      measure the second, steady-state run *)
-  ignore (Machine.run m stub_host f [| 0 |]);
+  ignore (Machine.run m stub_host f 0 [||] [||] 0);
   let c0 = m.Machine.cycle in
-  ignore (Machine.run m stub_host f [| 0 |]);
+  ignore (Machine.run m stub_host f 0 [||] [||] 0);
   m.Machine.cycle - c0
 
 let test_dispatch_width () =
@@ -442,9 +442,9 @@ let test_load_port_limit () =
     @ [ Ret 1 ]
   in
   let f = mk_func code ~n_regs:8 in
-  ignore (Machine.run m stub_host f [| 0 |]);
+  ignore (Machine.run m stub_host f 0 [||] [||] 0);
   let c0 = m.Machine.cycle in
-  ignore (Machine.run m stub_host f [| 0 |]);
+  ignore (Machine.run m stub_host f 0 [||] [||] 0);
   let cycles = m.Machine.cycle - c0 in
   Alcotest.(check bool)
     (Printf.sprintf "load port bound (%d cycles for 300 loads)" cycles)
@@ -462,7 +462,7 @@ let test_fused_branch_executes () =
     ]
   in
   let _, m = mk_machine () in
-  let v = Machine.run m stub_host (mk_func code ~n_regs:4) [| 0 |] in
+  let v = Machine.run m stub_host (mk_func code ~n_regs:4) 0 [||] [||] 0 in
   Alcotest.(check int) "loop terminated with 0" 0 v
 
 let test_special_store_fires_class_cache () =
@@ -490,7 +490,7 @@ let test_special_store_fires_class_cache () =
                Tce_attr.Reason.make Tce_attr.Reason.K_check_map
                  Tce_attr.Reason.C_not_class ~pc:0 } |] }
   in
-  ignore (Machine.run m stub_host f [| 0 |]);
+  ignore (Machine.run m stub_host f 0 [||] [||] 0);
   Alcotest.(check int) "one CC access" 1 m.Machine.cc.Tce_core.Class_cache.stats.accesses;
   Alcotest.(check (option int)) "profiled as SMI" (Some Tce_vm.Layout.smi_classid)
     (Tce_core.Class_list.profiled_class m.Machine.cl ~classid:base.Tce_vm.Hidden_class.id

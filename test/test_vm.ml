@@ -111,9 +111,10 @@ let test_mem_rw () =
     (try ignore (Mem.load m (a + 3)); false with Invalid_argument _ -> true)
 
 let test_mem_bump_growth () =
-  let m = Mem.create ~capacity_words:4 () in
-  (* growth past the initial capacity must work *)
-  let addrs = List.init 100 (fun _ -> Mem.allocate m ~bytes:64 ~align:64) in
+  let m = Mem.create () in
+  (* growth across several pages must work *)
+  let bytes = Mem.page_words * 8 / 25 in
+  let addrs = List.init 100 (fun _ -> Mem.allocate m ~bytes ~align:64) in
   List.iteri (fun i a -> Mem.store m a i) addrs;
   List.iteri (fun i a -> Alcotest.(check int) "value" i (Mem.load m a)) addrs;
   Alcotest.(check bool) "addresses distinct" true
@@ -122,11 +123,24 @@ let test_mem_bump_growth () =
 (* Differential of [Mem] against a flat reference model: one hash table of
    words, zero where never stored. [reserve] only changes where [Mem] keeps
    a word, so both must agree on every address, every loaded word and every
-   rejected access, whatever the mix of allocations and reservations. *)
+   rejected access, whatever the mix of allocations and reservations.
+   [hi] tracks where [Mem]'s pages start (the end of the last reservation),
+   only to aim accesses at page boundaries. *)
 module Flat = struct
-  type t = { cells : (int, int) Hashtbl.t; mutable next_free : int; base : int }
+  type t = {
+    cells : (int, int) Hashtbl.t;
+    mutable next_free : int;
+    base : int;
+    mutable hi : int;
+  }
 
-  let create () = { cells = Hashtbl.create 64; next_free = Mem.default_base; base = Mem.default_base }
+  let create () =
+    {
+      cells = Hashtbl.create 64;
+      next_free = Mem.default_base;
+      base = Mem.default_base;
+      hi = Mem.default_base;
+    }
 
   let check t addr =
     if addr land 7 <> 0 || addr < t.base then invalid_arg "Flat: bad address"
@@ -153,12 +167,17 @@ type mem_op =
       (** anchor, byte offset from it, value; anchor [i] is the [i mod n]th
           of the [n] addresses returned so far, the base included *)
   | Load of int * int
+  | Page_store of int * int * int
+      (** page [p], word offset from its first word, value *)
+  | Page_load of int * int
 
 let pp_mem_op = function
   | Allocate (b, a) -> Printf.sprintf "allocate %d/%d" b a
   | Reserve (b, a) -> Printf.sprintf "reserve %d/%d" b a
   | Store (i, o, v) -> Printf.sprintf "store @%d%+d := %d" i o v
   | Load (i, o) -> Printf.sprintf "load @%d%+d" i o
+  | Page_store (p, o, v) -> Printf.sprintf "store page %d%+dw := %d" p o v
+  | Page_load (p, o) -> Printf.sprintf "load page %d%+dw" p o
 
 let gen_mem_op =
   let open QCheck.Gen in
@@ -171,9 +190,15 @@ let gen_mem_op =
       (int_range (-8) 700)
       (frequency [ (7, return 0); (1, int_range 1 7) ])
   in
+  (* large allocations make the sequences span several pages; page ops
+     straddle page boundaries, and reach pages not made yet *)
+  let size = frequency [ (3, int_bound 600); (1, int_range 8_000 40_000) ] in
+  let page = int_bound 4 and near = int_range (-3) 3 in
   frequency
     [
-      (3, map2 (fun b a -> Allocate (b, a)) (int_bound 600) align);
+      (3, map2 (fun b a -> Allocate (b, a)) size align);
+      (2, map3 (fun p o v -> Page_store (p, o, v)) page near (int_range (-3) 1000));
+      (2, map2 (fun p o -> Page_load (p, o)) page near);
       ( 1,
         map2
           (fun b a -> Reserve (b, a))
@@ -186,12 +211,10 @@ let gen_mem_op =
 let prop_mem_matches_flat =
   QCheck.Test.make ~name:"Mem agrees with a flat word array" ~count:500
     (QCheck.make
-       ~print:(fun (cap, ops) ->
-         Printf.sprintf "capacity %d: %s" cap
-           (String.concat "; " (List.map pp_mem_op ops)))
-       QCheck.Gen.(pair (int_bound 64) (list_size (int_range 1 80) gen_mem_op)))
-    (fun (capacity_words, ops) ->
-      let m = Mem.create ~capacity_words () in
+       ~print:(fun ops -> String.concat "; " (List.map pp_mem_op ops))
+       QCheck.Gen.(list_size (int_range 1 80) gen_mem_op))
+    (fun ops ->
+      let m = Mem.create () in
       let f = Flat.create () in
       let anchors = ref [| Mem.default_base |] in
       let anchor i = !anchors.(i mod Array.length !anchors) in
@@ -208,14 +231,23 @@ let prop_mem_matches_flat =
               (outcome (fun () -> Mem.allocate m ~bytes ~align))
               (outcome (fun () -> Flat.bump f ~bytes ~align))
           | Reserve (bytes, align) ->
-            address
-              (outcome (fun () -> Mem.reserve m ~bytes ~align))
-              (outcome (fun () -> Flat.bump f ~bytes ~align))
+            let got = outcome (fun () -> Mem.reserve m ~bytes ~align) in
+            let want = outcome (fun () -> Flat.bump f ~bytes ~align) in
+            address got want;
+            Option.iter
+              (fun a -> f.Flat.hi <- max f.Flat.hi ((a + bytes + 7) land lnot 7))
+              want
           | Store (i, o, v) ->
             let a = anchor i + o in
             same (outcome (fun () -> Mem.store m a v)) (outcome (fun () -> Flat.store f a v))
           | Load (i, o) ->
             let a = anchor i + o in
+            same (outcome (fun () -> Mem.load m a)) (outcome (fun () -> Flat.load f a))
+          | Page_store (p, o, v) ->
+            let a = f.Flat.hi + (8 * ((p * Mem.page_words) + o)) in
+            same (outcome (fun () -> Mem.store m a v)) (outcome (fun () -> Flat.store f a v))
+          | Page_load (p, o) ->
+            let a = f.Flat.hi + (8 * ((p * Mem.page_words) + o)) in
             same (outcome (fun () -> Mem.load m a)) (outcome (fun () -> Flat.load f a)))
         ops;
       same (Mem.allocated_bytes m) (f.Flat.next_free - f.Flat.base);
